@@ -27,8 +27,8 @@ def main() -> None:
     rep = enumerate_represented(form, BOUND).member_mask()
 
     n = np.arange(BOUND + 1)
-    two_adic = np.array([False] + [lemma72_excluded(int(k)) for k in n[1:]])
-    three_adic = np.array([False] + [lemma73_excluded(int(k)) for k in n[1:]])
+    two_adic = lemma72_excluded(n)
+    three_adic = lemma73_excluded(n)
     classes = squareclass_mask(rec.exceptional_spec, BOUND)
 
     full = two_adic | three_adic | classes

@@ -18,7 +18,6 @@ from .catalog import (
     GenusRecord,
     load_catalog,
     load_default_catalog,
-    lookup,
 )
 from .forms_core import (
     BoundOverflowError,

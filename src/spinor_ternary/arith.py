@@ -27,7 +27,6 @@ _TRIAL_LIMIT = 10**6
 # Smallest-prime-factor sieve for the hot path (everything at desk scale
 # is far below this).
 _SPF_LIMIT = 1 << 20
-_spf: bytearray | None = None
 _spf_arr = None
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "dumps",
     "load_catalog",
     "load_default_catalog",
-    "lookup",
 ]
 
 _EXC_TOKEN = re.compile(r"^(\d*)M(\d+)$")
@@ -90,10 +89,6 @@ class CatalogFile:
             if rec.rid == rid:
                 return rec
         raise CatalogError(f"unknown record id {rid!r}")
-
-
-def lookup(catalog: CatalogFile, rid: str) -> GenusRecord:
-    return catalog.lookup(rid)
 
 
 # ---------------------------------------------------------------- parsing

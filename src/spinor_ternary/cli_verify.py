@@ -23,7 +23,7 @@ import numpy as np
 
 from .arith import is_padic_square
 from .catalog import CatalogError, CatalogFile, GenusRecord, dumps, load_catalog, load_default_catalog
-from .forms_core import BoundOverflowError, RepresentedSet, enumerate_represented
+from .forms_core import BoundOverflowError, enumerate_represented
 from .local_solver import (
     genus_mask,
     lemma71_excluded,
@@ -37,6 +37,7 @@ from .spinor_theory import (
     EXCEPTIONAL,
     LOCALLY_EXCLUDED,
     REPRESENTED,
+    classify,
     spinor_exceptional_general,
     squareclass_match,
 )
@@ -126,16 +127,8 @@ def closed_form_missed_mask(rid: str, bound: int) -> np.ndarray | None:
     if rid not in ("B4", "B11"):
         return None
     n = np.arange(bound + 1)
-    if rid == "B4":
-        two_adic = (n % 4 == 2) | (n % 16 == 8)
-    else:
-        two_adic = (n % 8 == 5) | (n % 4 == 2) | (n % 4 == 3) | (n % 16 == 8) | (n % 16 == 12)
-    three_adic = np.fromiter(
-        (lemma73_excluded(int(k)) for k in n[1:]), dtype=bool, count=bound
-    )
-    out = two_adic
-    out[1:] |= three_adic
-    out |= squareclass_mask(((1, 3), (4, 3)), bound)
+    two_adic = lemma71_excluded(n) if rid == "B4" else lemma72_excluded(n)
+    out = two_adic | lemma73_excluded(n) | squareclass_mask(((1, 3), (4, 3)), bound)
     out[0] = False
     return out
 
@@ -176,12 +169,8 @@ def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationRepor
     records = list(records)
     if jobs > 1 and len(records) > 1:
         with Pool(jobs) as pool:
-            return pool.map(partial(_verify_job, bound=bound), records)
+            return pool.map(partial(verify_record, bound=bound), records)
     return [verify_record(rec, bound) for rec in records]
-
-
-def _verify_job(rec: GenusRecord, bound: int) -> VerificationReport:
-    return verify_record(rec, bound)
 
 
 # ----------------------------------------------------------------- report
@@ -239,13 +228,8 @@ def _records_for(catalog: CatalogFile, ident: str) -> list[GenusRecord]:
 
 def cmd_classify(catalog: CatalogFile, args) -> int:
     rec = catalog.lookup(args.record)
-    bound = args.bound if args.bound is not None else max(args.n, 16)
-    if bound < args.n:
-        raise CatalogError(f"--bound {bound} is below n={args.n}")
-    from .spinor_theory import classify
-
-    rs = enumerate_represented(rec.sgi_forms[0], bound)
-    result = classify(rec, args.n, rs)
+    # the witness is the least solution, so enumerating up to n suffices
+    result = classify(rec, args.n, enumerate_represented(rec.sgi_forms[0], max(args.n, 1)))
     if result.verdict == REPRESENTED:
         w = result.witness
         print(f"{REPRESENTED} ({w.x},{w.y},{w.z})")
@@ -326,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="verdict for one integer")
     p.add_argument("record")
     p.add_argument("n", type=int)
-    p.add_argument("--bound", type=int, default=None, help="enumeration bound (default: n)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="three-way set equality check")

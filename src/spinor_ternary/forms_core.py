@@ -33,6 +33,8 @@ __all__ = [
 
 # Intermediates in enumeration must stay well inside signed 64-bit.
 _INT64_GUARD = 1 << 62
+# key of an n that no vector gives
+_NO_KEY = np.iinfo(np.int64).max
 
 
 class DefinitenessError(ValueError):
@@ -126,13 +128,19 @@ def discriminant(form: TernaryForm) -> int:
 
 
 class RepresentedSet:
-    """Exhaustive membership of {1..bound} under a form, one witness each."""
+    """Exhaustive membership of {1..bound} under a form, one witness each.
 
-    def __init__(self, form: TernaryForm, bound: int, member: np.ndarray, wit: np.ndarray):
+    key[n] is the least scan position x*|slab| + flat(y, z) of a vector with
+    F = n (x >= 0, then y, then z ascending), or _NO_KEY when none exists;
+    the box has |y| <= x2, |z| <= x3 and rows of nz = 2*x3 + 1 entries.
+    """
+
+    def __init__(self, form: TernaryForm, bound: int, key: np.ndarray, box: tuple[int, int, int]):
         self.form = form
         self.bound = bound
-        self._member = member  # bool, indexed by n, size bound+1
-        self._wit = wit  # int32 (bound+1, 3)
+        self._key = key  # int64, indexed by n, size bound+1
+        self._box = box  # (x2, x3, nz)
+        self._member = key != _NO_KEY
 
     def __contains__(self, n: int) -> bool:
         return 1 <= n <= self.bound and bool(self._member[n])
@@ -146,9 +154,13 @@ class RepresentedSet:
         return self._member
 
     def witness(self, n: int) -> Witness | None:
+        """The lexicographically least (x >= 0, y, z) with F = n."""
         if n not in self:
             return None
-        return Witness(*(int(t) for t in self._wit[n]))
+        x2, x3, nz = self._box
+        x, flat = divmod(int(self._key[n]), (2 * x2 + 1) * nz)
+        y, z = divmod(flat, nz)
+        return Witness(x, y - x2, z - x3)
 
 
 def _coordinate_bounds(form: TernaryForm, bound: int) -> tuple[int, int, int]:
@@ -162,7 +174,8 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     """Every n in 1..bound with F(v) = n for some integer v, with witnesses.
 
     Scans x >= 0 only (F(-v) = F(v)) over the ellipsoid box; each x slice
-    is evaluated as one numpy grid over (y, z).
+    is evaluated as one numpy grid over (y, z), and every n keeps the least
+    scan position that gives it.
     """
     if not is_positive_definite(form):
         raise DefinitenessError(f"form {form} is not positive definite")
@@ -183,27 +196,13 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     ) >= _INT64_GUARD:
         raise BoundOverflowError(f"bound {bound} overflows 64-bit intermediates for {form}")
 
-    member = np.zeros(bound + 1, dtype=bool)
-    wit = np.zeros((bound + 1, 3), dtype=np.int32)
-
+    key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
     ys = np.arange(-x2, x2 + 1, dtype=np.int64)
     zs = np.arange(-x3, x3 + 1, dtype=np.int64)
     col = (b * ys * ys)[:, None] + d * ys[:, None] * zs[None, :] + (c * zs * zs)[None, :]
     for x in range(x1 + 1):
         vals = col + (a * x * x + (f * x) * ys)[:, None] + ((e * x) * zs)[None, :]
         flat = vals.ravel()
-        keep = np.flatnonzero((flat >= 1) & (flat <= bound))
-        if keep.size == 0:
-            continue
-        got = flat[keep]
-        uvals, first = np.unique(got, return_index=True)
-        fresh = ~member[uvals]
-        if not fresh.any():
-            continue
-        uvals = uvals[fresh]
-        pos = keep[first[fresh]]
-        member[uvals] = True
-        wit[uvals, 0] = x
-        wit[uvals, 1] = ys[pos // zs.size]
-        wit[uvals, 2] = zs[pos % zs.size]
-    return RepresentedSet(form, bound, member, wit)
+        pos = np.flatnonzero((flat >= 1) & (flat <= bound))
+        np.minimum.at(key, flat[pos], x * flat.size + pos)
+    return RepresentedSet(form, bound, key, (x2, x3, zs.size))

@@ -72,27 +72,27 @@ class LocalSplitting:
         Gram matrix, so the form takes exactly the splitting's values."""
         if self.dimension() != 3:
             raise ValueError(f"splitting is not ternary: {self.components}")
-        gram = np.zeros((3, 3), dtype=object)
+        gram = [[0] * 3 for _ in range(3)]
         i = 0
         for c in self.components:
             if c[0] == "diag":
-                gram[i, i] = c[1] * self.p ** c[2]
+                gram[i][i] = c[1] * self.p ** c[2]
                 i += 1
             else:
                 s = 2**c[1]
                 if c[0] == "H":
-                    gram[i, i + 1] = gram[i + 1, i] = s
+                    gram[i][i + 1] = gram[i + 1][i] = s
                 else:
-                    gram[i, i] = gram[i + 1, i + 1] = 2 * s
-                    gram[i, i + 1] = gram[i + 1, i] = s
+                    gram[i][i] = gram[i + 1][i + 1] = 2 * s
+                    gram[i][i + 1] = gram[i + 1][i] = s
                 i += 2
         return TernaryForm(
-            a=int(gram[0, 0]),
-            b=int(gram[1, 1]),
-            c=int(gram[2, 2]),
-            d=2 * int(gram[1, 2]),
-            e=2 * int(gram[0, 2]),
-            f=2 * int(gram[0, 1]),
+            a=gram[0][0],
+            b=gram[1][1],
+            c=gram[2][2],
+            d=2 * gram[1][2],
+            e=2 * gram[0][2],
+            f=2 * gram[0][1],
         )
 
 
@@ -121,24 +121,25 @@ def unramified_shortcut(form: TernaryForm, p: int) -> bool:
     return form.gram_det() % p != 0
 
 
-def lemma71_excluded(n: int) -> bool:
+# The lemma predicates take an int or an integer numpy array (elementwise).
+
+def lemma71_excluded(n):
     """2-adic exclusions of a hexagonal-plane-plus-<16> structure."""
-    return n % 4 == 2 or n % 16 == 8
+    return (n % 4 == 2) | (n % 16 == 8)
 
 
-def lemma72_excluded(n: int) -> bool:
+def lemma72_excluded(n):
     """2-adic exclusions of the diagonal <1,16,48> structure."""
-    return n % 8 == 5 or n % 4 in (2, 3) or n % 16 in (8, 12)
+    return (n % 8 == 5) | (n % 4 == 2) | (n % 4 == 3) | (n % 16 == 8) | (n % 16 == 12)
 
 
-def lemma73_excluded(n: int) -> bool:
+def lemma73_excluded(n):
     """3-adic exclusions of the diagonal <1,3,9> structure: n = 2 mod 3,
     or n = 9^k * m with m = 6 mod 9."""
-    if n % 3 == 2:
-        return True
-    while n % 9 == 0:
-        n //= 9
-    return n % 9 == 6
+    m = n
+    while np.any(nine := (m % 9 == 0) & (m != 0)):
+        m = m // 9**nine
+    return (n % 3 == 2) | (m % 9 == 6)
 
 
 # ---------------------------------------------------------------------------

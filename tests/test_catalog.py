@@ -8,7 +8,6 @@ from spinor_ternary.catalog import (
     dumps,
     load_catalog,
     loads,
-    lookup,
 )
 from spinor_ternary.forms_core import TernaryForm
 from spinor_ternary.local_solver import locally_represented
@@ -77,7 +76,7 @@ class TestShape:
 
 class TestLookup:
     def test_found(self, catalog):
-        assert lookup(catalog, "B11").sgi_forms[0] == TernaryForm(9, 16, 48, 0, 0, 0)
+        assert catalog.lookup("B11").sgi_forms[0] == TernaryForm(9, 16, 48, 0, 0, 0)
 
     def test_unknown_id(self, catalog):
         with pytest.raises(CatalogError, match="Z9"):

@@ -1,6 +1,8 @@
 """Command line behavior: output text, exit statuses, determinism, and the
 bulk verification masks behind the verify subcommand."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,10 +69,16 @@ class TestClassifyCommand:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_bound_below_n(self, capsys):
-        code, _, err = run(capsys, "classify", "B4", "9", "--bound", "5")
+    def test_nonpositive_n(self, capsys):
+        code, _, err = run(capsys, "classify", "B4", "0")
         assert code == 2
-        assert "below" in err
+        assert "n must be >= 1" in err
+
+    def test_bound_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "B4", "9", "--bound", "5"])
+        assert exc.value.code == 2
+        assert "--bound" in capsys.readouterr().err
 
 
 class TestLocalCommand:
@@ -187,6 +195,15 @@ class TestReportCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_all_records_bytes(self, capsys):
+        # pins every verdict, squareclass and witness (the lexicographically
+        # least vector) of the full report
+        code, out, _ = run(capsys, "report", "all", "--bound", "2000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a65304a5644e17fffe687d6716903239477af00d6136883780bb9b04c53cd664"
+        )
 
     def test_inconsistent_rows_fail(self, capsys, catalog, tmp_path):
         bad = dumps(catalog).replace("exceptional 3M3", "exceptional M1")

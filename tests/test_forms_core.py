@@ -27,23 +27,23 @@ small_int = st.integers(-9, 9)
 coord = st.integers(-12, 12)
 
 
-def brute_member_mask(form: TernaryForm, bound: int) -> np.ndarray:
-    """Values of form up to bound by scanning a cube |x_i| <= K, with K
-    from F(v) >= lambda_min |v|^2."""
+def brute_least_vectors(form: TernaryForm, bound: int) -> dict[int, tuple[int, int, int]]:
+    """The lexicographically least (x >= 0, y, z) giving each value of form
+    up to bound, by scanning a cube |x_i| <= K, with K from
+    F(v) >= lambda_min |v|^2."""
     mat = np.array(form.gram_doubled(), dtype=float) / 2.0
     lam = min(np.linalg.eigvalsh(mat))
     assert lam > 0
     k = math.isqrt(int(bound / lam)) + 1
     rng = np.arange(0, k + 1)  # x >= 0 suffices: F(-v) = F(v)
     full = np.arange(-k, k + 1)
-    x, y, z = np.meshgrid(rng, full, full, indexing="ij")
+    x, y, z = np.meshgrid(rng, full, full, indexing="ij")  # C order is lexicographic
     a, b, c, d, e, f = form.coeffs()
     vals = a * x * x + b * y * y + c * z * z + d * y * z + e * x * z + f * x * y
-    out = np.zeros(bound + 1, dtype=bool)
-    hit = vals[(vals >= 0) & (vals <= bound)]
-    out[hit] = True
-    out[0] = False
-    return out
+    least = {}
+    for idx in np.flatnonzero((vals >= 1) & (vals <= bound)):
+        least.setdefault(int(vals.flat[idx]), (int(x.flat[idx]), int(y.flat[idx]), int(z.flat[idx])))
+    return least
 
 
 class TestEvaluate:
@@ -151,6 +151,9 @@ class TestEnumeration:
         bound = 200
         for rec in catalog.records:
             for form in rec.all_forms():
-                got = enumerate_represented(form, bound).member_mask()
-                want = brute_member_mask(form, bound)
-                assert np.array_equal(got, want), (rec.rid, form)
+                rs = enumerate_represented(form, bound)
+                least = brute_least_vectors(form, bound)
+                want = np.zeros(bound + 1, dtype=bool)
+                want[list(least)] = True
+                assert np.array_equal(rs.member_mask(), want), (rec.rid, form)
+                assert {n: tuple(rs.witness(n)) for n in least} == least, (rec.rid, form)

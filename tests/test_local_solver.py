@@ -62,6 +62,7 @@ class TestCongruencePredicates:
         assert lemma73_excluded(15)   # 6 mod 9 despite being 0 mod 3
         assert lemma73_excluded(54)   # 9 * 6
         assert lemma73_excluded(486)  # 81 * 6
+        assert lemma73_excluded(6 * 9**25) is True  # beyond int64
         assert not lemma73_excluded(3)
         assert not lemma73_excluded(9)
         assert not lemma73_excluded(12)
