@@ -58,7 +58,9 @@ def _trial_primes() -> tuple[int, ...]:
 
 
 def ord_p(p: int, n: int) -> int:
-    """Largest k with p^k dividing n. Rejects n = 0."""
+    """Largest k with p^k dividing n. Rejects n = 0 and p < 2."""
+    if p < 2:
+        raise ValueError(f"ord_p needs p >= 2, got {p}")
     if n == 0:
         raise ValueError("ord_p undefined at 0")
     k = 0

@@ -5,13 +5,14 @@ the whole catalog.
 
 stdout is deterministic; wall-clock timings go to stderr.  Exit status is
 0 when everything passed, 1 when a verification found mismatches, 2 for
-usage and I/O failures.
+usage, input and I/O failures and for any unexpected error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -107,15 +108,38 @@ def squareclass_mask(spec, bound: int) -> np.ndarray:
     return out
 
 
+def _even_order_candidates(rec: GenusRecord, bound: int) -> np.ndarray:
+    """mask[n] for 0 <= n <= bound: every prime outside the ramified ones
+    divides n to an even power, i.e. n = r*m^2 with r a product of
+    ramified primes and m prime to all of them."""
+    ram = rec.ramified_primes()
+    rs = [1]
+    for p in ram:
+        powers = []
+        for r in rs:
+            while r <= bound:
+                powers.append(r)
+                r *= p
+        rs = powers
+    out = np.zeros(bound + 1, dtype=bool)
+    for r in rs:
+        m = np.arange(1, math.isqrt(bound // r) + 1)
+        for p in ram:
+            m = m[m % p != 0]
+        out[r * m * m] = True
+    return out
+
+
 def exceptional_general_mask(
     rec: GenusRecord, bound: int, genus: np.ndarray | None = None
 ) -> np.ndarray:
     """Spinor-exceptional verdicts from the general criterion, evaluated
-    pointwise on the genus-represented integers."""
+    pointwise on the genus-represented integers that pass its even-order
+    clause; the criterion rejects every other n at that clause."""
     if genus is None:
         genus = genus_mask(rec, bound)
     out = np.zeros(bound + 1, dtype=bool)
-    for n in np.flatnonzero(genus[1:]) + 1:
+    for n in np.flatnonzero(genus & _even_order_candidates(rec, bound)):
         out[n] = spinor_exceptional_general(rec, int(n))
     return out
 
@@ -242,6 +266,9 @@ def cmd_classify(catalog: CatalogFile, args) -> int:
 
 
 def cmd_verify(catalog: CatalogFile, args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     reports = verify_records(_records_for(catalog, args.record), args.bound, args.jobs)
     ok = True
     for rep in reports:
@@ -347,11 +374,12 @@ def main(argv=None) -> int:
     try:
         catalog = load_catalog(args.catalog) if args.catalog else load_default_catalog()
         return args.func(catalog, args)
-    except (CatalogError, BoundOverflowError, ValueError) as exc:
+    except (CatalogError, BoundOverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # exit 1 is reserved for verification mismatches
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ord_p, sqrt_mod_p
+from .arith import is_prime, ord_p, sqrt_mod_p
 from .forms_core import TernaryForm, evaluate
 
 __all__ = [
@@ -112,6 +112,11 @@ class LocalVerdict:
     residue: tuple[int, int, int] | None = None
     precision: int = 0
     grad_ord: int | None = None
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 def unramified_shortcut(form: TernaryForm, p: int) -> bool:
@@ -226,7 +231,10 @@ def _prim_table(form: TernaryForm, p: int) -> tuple[int, np.ndarray]:
 
 def _prim_witness(form: TernaryForm, p: int, m: int):
     """First determined class accepting m; (v, d, g) or None."""
-    levels, _ = _class_tree(form, p)
+    levels, e3 = _class_tree(form, p)
+    # every class modulus p^(d+g) divides p^(2*e3+1); reducing here keeps
+    # the numpy arithmetic below in int64 for any m
+    m %= p ** (2 * e3 + 1)
     for d, v, g, vals in levels:
         ok = (vals - m) % p ** (d + g.astype(np.int64)) == 0
         idx = np.flatnonzero(ok)
@@ -285,6 +293,7 @@ def local_represents(form: TernaryForm, p: int, n: int) -> LocalVerdict:
     """Decide n -> L_p with a Hensel certificate either way."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_prime(p)
     det2 = form.gram_det()  # = 2 * disc for any nondegenerate ternary
 
     if det2 % p != 0:
@@ -321,6 +330,7 @@ def locally_represented(form: TernaryForm, p: int, n: int) -> bool:
     """Table-backed n -> L_p membership; equals local_represents(...)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_prime(p)
     if form.gram_det() % p != 0:
         return True
     j, table = _prim_table(form, p)
@@ -335,6 +345,7 @@ def locally_represented(form: TernaryForm, p: int, n: int) -> bool:
 
 def local_mask(form: TernaryForm, p: int, bound: int) -> np.ndarray:
     """Bool array over 0..bound: n -> L_p (index 0 unused, False)."""
+    _check_prime(p)
     if form.gram_det() % p != 0:
         out = np.ones(bound + 1, dtype=bool)
         out[0] = False

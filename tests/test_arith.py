@@ -36,6 +36,12 @@ class TestOrdP:
         with pytest.raises(ValueError):
             ord_p(5, 0)
 
+    @pytest.mark.parametrize("p", (1, 0, -1, -3))
+    def test_base_below_two_rejected(self, p):
+        # p = 1 and p = -1 would otherwise loop forever, p = 0 divide by zero
+        with pytest.raises(ValueError):
+            ord_p(p, 12)
+
     @given(prime_st, st.integers(0, 12), st.integers(0, 10**6))
     def test_strips_exactly(self, p, k, m):
         u = p * m + 1  # coprime to p by construction

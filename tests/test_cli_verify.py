@@ -2,19 +2,22 @@
 bulk verification masks behind the verify subcommand."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from spinor_ternary import cli_verify
 from spinor_ternary.catalog import dumps, loads
 from spinor_ternary.cli_verify import (
     closed_form_missed_mask,
+    exceptional_general_mask,
     main,
     mt_mask,
     squareclass_mask,
     verify_record,
 )
-from spinor_ternary.spinor_theory import in_Mt
+from spinor_ternary.spinor_theory import in_Mt, spinor_exceptional_general
 
 
 def run(capsys, *argv):
@@ -36,6 +39,16 @@ class TestMasks:
         assert set(np.flatnonzero(mask)) == {1, 25}
         mask = squareclass_mask(((1, 1), (4, 1), (16, 1)), 100)
         assert set(np.flatnonzero(mask)) == {1, 4, 16, 25, 100}
+
+    # a bound that is itself a candidate r*m^2 (1, 2, 48 = 3 * 4^2) catches
+    # an off-by-one in the range of m; 1 is an exceptional integer of A1
+    @pytest.mark.parametrize("bound", (1, 2, 48, 3000))
+    def test_criterion_mask_matches_pointwise(self, catalog, bound):
+        for rec in catalog.records:
+            mask = exceptional_general_mask(rec, bound)
+            assert not mask[0]
+            for n in range(1, bound + 1):
+                assert mask[n] == spinor_exceptional_general(rec, n), (rec.rid, n)
 
     def test_closed_form_only_for_the_two_regular_forms(self):
         assert closed_form_missed_mask("A1", 50) is None
@@ -104,6 +117,18 @@ class TestLocalCommand:
         x, y, z = coords
         assert (2 * x * x + 2 * y * y + 5 * z * z + 2 * y * z + 2 * x * z) % 7 == 5
 
+    @pytest.mark.parametrize("p", ("1", "0", "-3", "4", "6"))
+    def test_bad_prime(self, capsys, p):
+        code, out, err = run(capsys, "local", "B11", p, "12")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: p must be a prime, got {p}\n"
+
+    def test_n_beyond_int64(self, capsys):
+        code, out, _ = run(capsys, "local", "B11", "3", str(2**63))
+        assert code == 0
+        assert out == "non-representable: exhausted mod 3^3\n"
+
 
 class TestExceptionalListCommand:
     def test_a1(self, capsys):
@@ -146,6 +171,14 @@ class TestVerifyCommand:
         assert out1 == out2
         assert len(out1.splitlines()) == 29
         assert all(line.endswith("PASS") for line in out1.splitlines())
+
+    @pytest.mark.parametrize("jobs", (0, (os.cpu_count() or 1) + 1))
+    def test_jobs_out_of_range(self, capsys, jobs):
+        # rejected before any worker process starts
+        code, out, err = run(capsys, "verify", "B4", "--bound", "10", "--jobs", str(jobs))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --jobs must be between 1 and")
 
     def test_mismatch_exit_status(self, capsys, catalog, tmp_path):
         # a deliberately wrong squareclass spec must surface as mismatches
@@ -228,6 +261,16 @@ class TestCatalogPlumbing:
         code, out, _ = run(capsys, "--catalog", str(path), "classify", "A8", "9")
         assert code == 0
         assert out == "EXCEPTIONAL, matched (s=1, t=2)\n"
+
+    def test_unexpected_exception_exits_2(self, capsys, monkeypatch):
+        def boom(catalog, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_verify, "cmd_catalog_dump", boom)
+        code, out, err = run(capsys, "catalog-dump")
+        assert code == 2
+        assert out == ""
+        assert err == "error: RuntimeError: boom\n"
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as exc:

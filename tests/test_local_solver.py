@@ -4,7 +4,10 @@ membership assembled from them."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from spinor_ternary import load_default_catalog
 from spinor_ternary.forms_core import TernaryForm, evaluate
 from spinor_ternary.local_solver import (
     LocalSplitting,
@@ -25,6 +28,12 @@ B11 = TernaryForm(9, 16, 48, 0, 0, 0)
 A1 = TernaryForm(2, 2, 5, 2, 2, 0)
 
 SAMPLE_IDS = ("A1", "A12", "B2", "B4", "B11", "C1", "C4")
+
+RAMIFIED = [
+    (rec.sgi_forms[0], p)
+    for rec in load_default_catalog().records
+    for p in rec.ramified_primes()
+]
 
 
 class TestShortcut:
@@ -81,6 +90,34 @@ class TestLocalRepresents:
             local_represents(B4, 2, 0)
         with pytest.raises(ValueError):
             locally_represented(B4, 2, -3)
+
+    @pytest.mark.parametrize("p", (1, 0, -3, 4, 6))
+    def test_rejects_non_prime_p(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            local_represents(B11, p, 12)
+        with pytest.raises(ValueError, match="prime"):
+            locally_represented(B11, p, 12)
+        with pytest.raises(ValueError, match="prime"):
+            local_mask(B11, p, 12)
+
+    @pytest.mark.parametrize("n", (2**63, 2**64 + 1, 2**200))
+    def test_beyond_int64(self, catalog, n):
+        for rec in catalog.records:
+            form = rec.sgi_forms[0]
+            for p in rec.ramified_primes():
+                v = local_represents(form, p, n)
+                assert v.representable == locally_represented(form, p, n), (rec.rid, p)
+                if v.representable:
+                    assert verify_certificate(form, v), (rec.rid, p)
+
+    @given(st.sampled_from(RAMIFIED), st.integers(1, 2**200), st.integers(0, 40))
+    def test_any_size_routes_agree(self, form_p, u, k):
+        form, p = form_p
+        n = u * p**k
+        v = local_represents(form, p, n)
+        assert v.representable == locally_represented(form, p, n)
+        if v.representable:
+            assert verify_certificate(form, v)
 
     def test_certificates_hold_and_routes_agree(self, catalog):
         for rid in SAMPLE_IDS:
