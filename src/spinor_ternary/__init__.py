@@ -10,7 +10,6 @@ from .arith import (
     is_padic_square,
     legendre,
     ord_p,
-    squarefree_part,
 )
 from .catalog import (
     CatalogError,
@@ -50,7 +49,6 @@ from .spinor_theory import (
     classify,
     congruence_Mt,
     in_Mt,
-    in_squareclass_spec,
     spinor_exceptional_general,
 )
 

@@ -1,5 +1,5 @@
 """Exact prime and p-adic arithmetic: orders, symbols, square tests,
-Hilbert symbols, local norm groups, factorization, squarefree parts.
+Hilbert symbols, local norm groups, factorization.
 
 Everything here works on plain Python integers; no floating point.
 """
@@ -8,53 +8,21 @@ from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
 
 __all__ = [
     "ord_p",
     "factor",
-    "squarefree_part",
     "legendre",
     "is_padic_square",
     "hilbert",
     "in_local_norm_group",
     "is_prime",
-    "is_square",
 ]
 
-_TRIAL_LIMIT = 10**6
-
-# Smallest-prime-factor sieve for the hot path (everything at desk scale
-# is far below this).
-_SPF_LIMIT = 1 << 20
-_spf_arr = None
-
-
-def _spf_sieve():
-    global _spf_arr
-    if _spf_arr is None:
-        import numpy as np
-
-        spf = np.zeros(_SPF_LIMIT, dtype=np.int32)
-        for i in range(2, math.isqrt(_SPF_LIMIT) + 1):
-            if spf[i] == 0:
-                block = spf[i * i :: i]
-                block[block == 0] = i
-        rest = spf == 0
-        spf[rest] = np.arange(_SPF_LIMIT, dtype=np.int32)[rest]
-        spf[1] = 1
-        _spf_arr = spf
-    return _spf_arr
-
-
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * _TRIAL_LIMIT
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
-    return tuple(i for i in range(_TRIAL_LIMIT) if sieve[i])
+# Trial division covers the divisors below 2^10, so any cofactor left
+# below 2^20 is prime.
+_TRIAL_BOUND = 1 << 10
+_TRIAL_DIVISORS = (2, *range(3, _TRIAL_BOUND, 2))
 
 
 def ord_p(p: int, n: int) -> int:
@@ -99,7 +67,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n odd composite, no factor below _TRIAL_LIMIT.
+    # Brent's cycle variant; n odd composite with no factor below 2^10.
     rng = random.Random(0xC0FFEE ^ n)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
@@ -129,51 +97,28 @@ def _pollard_rho(n: int) -> int:
 def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization as (prime, exponent) pairs, primes ascending.
 
-    Trial division (smallest-prime-factor sieve below 2^20, primes up to
-    10^6 beyond), then Pollard rho on whatever cofactor remains.
+    Trial division by 2 and the odd d < 2^10 while d^2 <= n; a cofactor
+    below 2^20 is then prime, and a larger one goes to Miller-Rabin and,
+    if composite, to Pollard rho.
     """
     if n < 1:
         raise ValueError("factor expects n >= 1")
-    if n == 1:
-        return []
     out: dict[int, int] = {}
-    if n < _SPF_LIMIT:
-        spf = _spf_sieve()
-        while n > 1:
-            p = int(spf[n])
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        return sorted(out.items())
-    for p in _trial_primes():
-        if p * p > n:
+    for d in _TRIAL_DIVISORS:
+        if d * d > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
             d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
+            stack += [d, m // d]
     return sorted(out.items())
-
-
-def squarefree_part(n: int) -> int:
-    """sf(n): the squarefree integer with n / sf(n) a perfect square."""
-    out = 1
-    for p, e in factor(n):
-        if e % 2:
-            out *= p
-    return out
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def legendre(a: int, p: int) -> int:

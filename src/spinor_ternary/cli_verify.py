@@ -167,9 +167,8 @@ def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
     """
     t0 = perf_counter()
     rs = enumerate_represented(rec.sgi_forms[0], bound)
-    rep = rs.member_mask().copy()
-    gen = genus_mask(rec, bound).copy()
-    rep[0] = gen[0] = False
+    rep = rs.member_mask()
+    gen = genus_mask(rec, bound)
     spec = squareclass_mask(rec.exceptional_spec, bound)
     crit = exceptional_general_mask(rec, bound, gen)
     enum_exc = gen & ~rep
@@ -299,6 +298,8 @@ def cmd_local(catalog: CatalogFile, args) -> int:
 
 def cmd_exceptional_list(catalog: CatalogFile, args) -> int:
     rec = catalog.lookup(args.record)
+    if args.bound < 1:
+        raise ValueError("bound must be >= 1")
     for n in np.flatnonzero(squareclass_mask(rec.exceptional_spec, args.bound)):
         print(int(n))
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,13 +141,10 @@ class RepresentedSet:
         self._key = key  # int64, indexed by n, size bound+1
         self._box = box  # (x2, x3, nz)
         self._member = key != _NO_KEY
+        self._member.setflags(write=False)
 
     def __contains__(self, n: int) -> bool:
         return 1 <= n <= self.bound and bool(self._member[n])
-
-    def members(self) -> Iterator[int]:
-        for n in np.flatnonzero(self._member):
-            yield int(n)
 
     def member_mask(self) -> np.ndarray:
         """Read-only bool array indexed by n (index 0 unused)."""

@@ -350,22 +350,15 @@ def local_mask(form: TernaryForm, p: int, bound: int) -> np.ndarray:
         out = np.ones(bound + 1, dtype=bool)
         out[0] = False
         return out
+    # n -> L_p iff n / p^(2j) is primitively represented for some p^(2j) | n:
+    # for each scaling k = p^(2j), the multiples k*m read the table at m
     j, table = _prim_table(form, p)
     mod = p**j
     out = np.zeros(bound + 1, dtype=bool)
-    cur = np.arange(bound + 1, dtype=np.int64)
-    alive = np.ones(bound + 1, dtype=bool)
-    alive[0] = False
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        hits = table[cur[idx] % mod]
-        out[idx[hits]] = True
-        alive[idx[hits]] = False
-        idx = np.flatnonzero(alive)
-        divisible = cur[idx] % (p * p) == 0
-        alive[idx[~divisible]] = False
-        keep = idx[divisible]
-        cur[keep] //= p * p
+    k = 1
+    while k <= bound:
+        out[k::k] |= table[np.arange(1, bound // k + 1) % mod]
+        k *= p * p
     return out
 
 

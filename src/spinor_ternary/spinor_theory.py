@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import factor, hilbert, is_padic_square, legendre, ord_p
+from .arith import factor, in_local_norm_group, is_padic_square, legendre, ord_p
 from .forms_core import RepresentedSet, Witness
 from .local_solver import genus_represents, locally_represented
 
@@ -22,7 +22,6 @@ __all__ = [
     "LOCALLY_EXCLUDED",
     "in_Mt",
     "congruence_Mt",
-    "in_squareclass_spec",
     "squareclass_match",
     "spinor_exceptional_general",
     "classify",
@@ -101,10 +100,6 @@ def squareclass_match(spec, n: int) -> tuple[int, int] | None:
     return None
 
 
-def in_squareclass_spec(spec, n: int) -> bool:
-    return squareclass_match(spec, n) is not None
-
-
 def _sq_class_key(p: int, x: int):
     v = ord_p(p, x)
     u = x // p**v
@@ -152,7 +147,7 @@ def spinor_exceptional_general(record, n: int) -> bool:
     for p in ram:
         data = record.local_data[p]
         for gen in data.theta:
-            if hilbert(p, gen, -ndelta) != 1:
+            if not in_local_norm_group(p, gen, ndelta):
                 return False
         if is_padic_square(p, -ndelta):
             continue

@@ -12,11 +12,9 @@ from spinor_ternary.arith import (
     in_local_norm_group,
     is_padic_square,
     is_prime,
-    is_square,
     legendre,
     ord_p,
     sqrt_mod_p,
-    squarefree_part,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -63,9 +61,43 @@ class TestFactor:
         assert factor(n) == [(n, 1)]
 
     def test_square_of_prime_beyond_trial_range(self):
-        # smallest factor above the trial-division limit
+        # no factor below 2^10: Pollard rho splits it
         p = 1000003
         assert factor(p * p) == [(p, 2)]
+
+    # Trial division stops at 2^10 and takes a cofactor below 2^20 as
+    # prime: 1021^2 needs the last trial divisors, 1031^2 and 1031*1033
+    # are composites just above 2^20 with no factor below 2^10.
+    @pytest.mark.parametrize(
+        "n, want",
+        (
+            (1021**2, [(1021, 2)]),
+            (1031**2, [(1031, 2)]),
+            (1031 * 1033, [(1031, 1), (1033, 1)]),
+            (2**20 - 1, [(3, 1), (5, 2), (11, 1), (31, 1), (41, 1)]),
+            (2**20, [(2, 20)]),
+            (2**20 + 1, [(17, 1), (61681, 1)]),
+            (3**40, [(3, 40)]),
+            (2**100, [(2, 100)]),
+        ),
+    )
+    def test_path_boundaries(self, n, want):
+        assert factor(n) == want
+
+    def test_matches_naive_trial_division(self):
+        for n in range(1, 1 << 16):
+            want, m, d = [], n, 2
+            while d * d <= m:
+                e = 0
+                while m % d == 0:
+                    m //= d
+                    e += 1
+                if e:
+                    want.append((d, e))
+                d += 1
+            if m > 1:
+                want.append((m, 1))
+            assert factor(n) == want, n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -82,20 +114,6 @@ class TestFactor:
             prod *= p**e
         assert prod == n
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
-
-
-class TestSquarefreePart:
-    def test_known_values(self):
-        assert squarefree_part(64) == 1
-        assert squarefree_part(128) == 2
-        assert squarefree_part(27648) == 3
-
-    @given(st.integers(1, 10**6))
-    def test_quotient_is_square(self, n):
-        sf = squarefree_part(n)
-        assert n % sf == 0
-        assert is_square(n // sf)
-        assert all(sf % (d * d) for d in range(2, math.isqrt(sf) + 1))
 
 
 class TestIsPrime:

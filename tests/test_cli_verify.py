@@ -146,6 +146,13 @@ class TestExceptionalListCommand:
         assert code == 0
         assert out == "3\n"
 
+    @pytest.mark.parametrize("bound", ("0", "-5"))
+    def test_bound_below_one(self, capsys, bound):
+        code, out, err = run(capsys, "exceptional-list", "A1", "--bound", bound)
+        assert code == 2
+        assert out == ""
+        assert err == "error: bound must be >= 1\n"
+
 
 class TestVerifyCommand:
     def test_single_record_summary(self, capsys):

@@ -117,8 +117,8 @@ class TestEnumeration:
         form = TernaryForm(3, 7, 7, 5, 3, 3)
         rs = enumerate_represented(form, 400)
         hits = 0
-        for n in rs.members():
-            w = rs.witness(n)
+        for n in np.flatnonzero(rs.member_mask()):
+            w = rs.witness(int(n))
             assert evaluate(form, w) == n
             hits += 1
         assert hits == rs.member_mask()[1:].sum()
@@ -132,6 +132,7 @@ class TestEnumeration:
         rs = enumerate_represented(TernaryForm(1, 4, 9, 4, 0, 0), 120)
         mask = rs.member_mask()
         assert not mask[0]
+        assert not mask.flags.writeable  # callers share it without copying
         for n in range(1, 121):
             assert mask[n] == (n in rs)
 
@@ -152,6 +153,7 @@ class TestEnumeration:
         for rec in catalog.records:
             for form in rec.all_forms():
                 rs = enumerate_represented(form, bound)
+                assert not rs.member_mask()[0]
                 least = brute_least_vectors(form, bound)
                 want = np.zeros(bound + 1, dtype=bool)
                 want[list(least)] = True

@@ -151,14 +151,24 @@ class TestLocalRepresents:
 
 class TestBulkMask:
     def test_matches_pointwise(self, catalog):
-        for rid in ("A1", "B4", "C1"):
-            rec = catalog.lookup(rid)
+        for rec in catalog.records:
             form = rec.sgi_forms[0]
             for p in rec.ramified_primes():
                 mask = local_mask(form, p, 400)
                 assert not mask[0]
                 for n in range(1, 401):
-                    assert mask[n] == locally_represented(form, p, n), (rid, p, n)
+                    assert mask[n] == locally_represented(form, p, n), (rec.rid, p, n)
+
+    def test_scaling_boundaries_match_pointwise(self, catalog):
+        # bounds at 1 and on either side of p^2 and p^4, where one more
+        # scaling p^(2j) starts to reach into the mask
+        for rec in catalog.records:
+            form = rec.sgi_forms[0]
+            for p in rec.ramified_primes():
+                want = [False] + [locally_represented(form, p, n) for n in range(1, p**4 + 2)]
+                for bound in (1, p**2 - 1, p**2, p**2 + 1, p**4 - 1, p**4, p**4 + 1):
+                    mask = local_mask(form, p, bound)
+                    assert mask.tolist() == want[: bound + 1], (rec.rid, p, bound)
 
     def test_unramified_mask_is_all_true(self):
         mask = local_mask(A1, 5, 50)
@@ -172,8 +182,7 @@ class TestGenus:
         assert not genus_represents(catalog.lookup("A11"), 1)
 
     def test_mask_matches_pointwise(self, catalog):
-        for rid in ("A11", "B11"):
-            rec = catalog.lookup(rid)
+        for rec in catalog.records:
             mask = genus_mask(rec, 300)
             assert not mask[0]
             for n in range(1, 301):

@@ -14,7 +14,6 @@ from spinor_ternary.spinor_theory import (
     classify,
     congruence_Mt,
     in_Mt,
-    in_squareclass_spec,
     normgroup_is_closed,
     spinor_exceptional_general,
     squareclass_match,
@@ -72,10 +71,10 @@ class TestMt:
 
 class TestSquareclassSpec:
     def test_membership(self):
-        assert in_squareclass_spec(((1, 2),), 9)       # 3^2, 3 in M_2
-        assert in_squareclass_spec(((4, 1),), 4)
-        assert not in_squareclass_spec(((4, 1),), 1)
-        assert in_squareclass_spec(((3, 3),), 3)
+        assert squareclass_match(((1, 2),), 9) == (1, 2)  # 3^2, 3 in M_2
+        assert squareclass_match(((4, 1),), 4) == (4, 1)
+        assert squareclass_match(((4, 1),), 1) is None
+        assert squareclass_match(((3, 3),), 3) == (3, 3)
 
     def test_match_picks_first_entry(self):
         spec = ((1, 1), (4, 1))
@@ -128,8 +127,8 @@ class TestGeneralCriterion:
         for rid in ("A4", "B3", "C2"):
             rec = catalog.lookup(rid)
             for n in range(1, 600):
-                assert spinor_exceptional_general(rec, n) == in_squareclass_spec(
-                    rec.exceptional_spec, n
+                assert spinor_exceptional_general(rec, n) == (
+                    squareclass_match(rec.exceptional_spec, n) is not None
                 ), (rid, n)
 
 
