@@ -93,6 +93,13 @@ class CatalogFile:
 
 # ---------------------------------------------------------------- parsing
 
+def _parse_int(text: str, what: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CatalogError(f"{where}: bad {what} {text!r}") from None
+
+
 def _parse_form(text: str, where: str) -> TernaryForm:
     parts = text.split(",")
     if len(parts) != 6:
@@ -127,10 +134,7 @@ def _parse_local(rest: str, where: str) -> LocalData:
     toks = rest.split()
     if not toks:
         raise CatalogError(f"{where}: empty local line")
-    try:
-        p = int(toks[0])
-    except ValueError:
-        raise CatalogError(f"{where}: bad prime {toks[0]!r}") from None
+    p = _parse_int(toks[0], "prime", where)
     splitting = None
     theta = None
     lam = None
@@ -145,9 +149,9 @@ def _parse_local(rest: str, where: str) -> LocalData:
         elif key == "theta" and sep:
             if not (val.startswith("{") and val.endswith("}")):
                 raise CatalogError(f"{where}: theta wants {{..}}, got {val!r}")
-            theta = tuple(int(x) for x in val[1:-1].split(","))
+            theta = tuple(_parse_int(x, "theta", where) for x in val[1:-1].split(","))
         elif key == "lambda" and sep:
-            lam = int(val)
+            lam = _parse_int(val, "lambda", where)
         elif key == "subcase" and sep:
             subcase = val
         else:
@@ -184,7 +188,7 @@ def _build_record(lines: list[tuple[int, str]]) -> GenusRecord:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key == "delta":
-            delta = int(rest)
+            delta = _parse_int(rest, "delta", where)
         elif key == "sgi":
             sgi.append(_parse_form(rest, where))
         elif key == "sgii":

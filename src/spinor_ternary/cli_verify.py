@@ -307,6 +307,9 @@ def cmd_exceptional_list(catalog: CatalogFile, args) -> int:
 
 def cmd_report(catalog: CatalogFile, args) -> int:
     records = _records_for(catalog, args.record)
+    # checked before --output is opened, so a bad bound leaves the file as it was
+    if args.bound < 1:
+        raise ValueError("bound must be >= 1")
     if args.output is None:
         bad = write_report(records, args.bound, sys.stdout)
     else:

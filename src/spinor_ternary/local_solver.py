@@ -1,15 +1,16 @@
 """Representability of integers by a ternary form over Z_p.
 
 The generic decision is a breadth-first refinement of primitive residue
-classes.  For a primitive vector v known mod p^d, let g be the minimum
-p-order of the gradient M_F v.  Once some gradient entry is nonzero mod
-p^d (so g < d is exact for every lift), the value set of F on the whole
-class is exactly F(v) + p^(d+g) Z_p: the class either certifies a Hensel
-lift or is dead, and the verdict is final.  Classes with gradient still
-vanishing mod p^d are split one more level.  Splitting cannot continue
-past the largest elementary divisor of M_F, so the tree is finite and the
-procedure is complete: a target n is represented iff some scaled class
-p^j * v accepts n / p^(2j).
+classes.  Level d holds primitive vectors v known mod p^d; level 1 is every
+nonzero v mod p, and level d + 1 splits each class of level d whose
+gradient M_F v still vanishes mod p^d into its lifts v + p^d w.  A level-d
+class therefore has gradient order at least d - 1 for every lift, and it
+is decided exactly when some gradient entry is nonzero mod p^d, i.e. its
+gradient order is exactly d - 1.  Its value set is then F(v) + p^(2d-1) Z_p:
+the class either certifies a Hensel lift or is dead, and the verdict is
+final.  Splitting cannot continue past the largest elementary divisor of
+M_F, so the tree is finite and the procedure is complete: a target n is
+represented iff some scaled class p^j * v accepts n / p^(2j).
 
 The same class tree, run without a target, yields a congruence table of
 every primitively represented value; bulk queries go through that table.
@@ -151,48 +152,28 @@ def lemma73_excluded(n):
 # class tree
 
 
-def _vec_min_ord(rows: np.ndarray, p: int, cap: int) -> np.ndarray:
-    """Row-wise min p-order over a (N,3) array, capped at cap."""
-    n = rows.shape[0]
-    out = np.full(n, cap, dtype=np.int64)
-    rem = rows.copy()
-    for k in range(cap):
-        hit = (rem % p != 0).any(axis=1) & (out == cap)
-        out[hit] = k
-        if k + 1 < cap:
-            rem //= p
-    return out
-
-
-def _eval_rows(form: TernaryForm, v: np.ndarray) -> np.ndarray:
-    a, b, c, d, e, f = form.coeffs()
-    x, y, z = v[:, 0], v[:, 1], v[:, 2]
-    return a * x * x + b * y * y + c * z * z + d * y * z + e * x * z + f * x * y
-
-
-def _smith_exponents(form: TernaryForm, p: int) -> tuple[int, int, int]:
-    """p-orders (e1 <= e2 <= e3) of the elementary divisors of M_F."""
-    m = form.gram_doubled()
+def _smith_e3(form: TernaryForm, p: int) -> int:
+    """p-order e3 of the largest elementary divisor of M_F."""
     adj = form.gram_adjugate()
     det = form.gram_det()
     if det == 0:
         raise ValueError(f"degenerate form: {form}")
-    d1 = min(ord_p(p, t) for row in m for t in row if t != 0)
     d2 = min(ord_p(p, t) for row in adj for t in row if t != 0)
-    d3 = ord_p(p, det)
-    return d1, d2 - d1, d3 - d2
+    return ord_p(p, det) - d2
 
 
 @lru_cache(maxsize=None)
 def _class_tree(form: TernaryForm, p: int):
     """All determined primitive classes of form over Z_p.
 
-    Returns (levels, e3) where levels is a list of (d, V, g, vals):
-    class representatives V mod p^d, exact gradient orders g < d, and
-    values F(V); the value set of class row i is vals[i] + p^(d+g[i]) Z_p.
+    Returns (levels, e3) where levels is a list of (d, V, vals): class
+    representatives V mod p^d and values F(V).  A level-d class is a lift
+    v + p^(d-1) w of a class whose gradient vanished mod p^(d-1), so its
+    gradient order is at least d - 1, and it is decided exactly when that
+    order is d - 1; the value set of row i is vals[i] + p^(2d-1) Z_p.
     """
     mat = np.array(form.gram_doubled(), dtype=np.int64)
-    e1, e2, e3 = _smith_exponents(form, p)
+    e3 = _smith_e3(form, p)
     offs = np.stack(
         np.meshgrid(np.arange(p), np.arange(p), np.arange(p), indexing="ij"), axis=-1
     ).reshape(-1, 3).astype(np.int64)
@@ -202,10 +183,11 @@ def _class_tree(form: TernaryForm, p: int):
     while v.shape[0]:
         if d > e3 + 1:
             raise AssertionError(f"class splitting past elementary divisor bound at {form}, p={p}")
-        g = _vec_min_ord(v @ mat, p, d)
-        det_mask = g < d
+        grad = v @ mat
+        det_mask = (grad % p**d != 0).any(axis=1)
         if det_mask.any():
-            levels.append((d, v[det_mask], g[det_mask], _eval_rows(form, v[det_mask])))
+            vals = (v[det_mask] * grad[det_mask]).sum(axis=1) // 2
+            levels.append((d, v[det_mask], vals))
         v = v[~det_mask]
         if v.shape[0]:
             v = (v[:, None, :] + p**d * offs[None, :, :]).reshape(-1, 3)
@@ -220,27 +202,24 @@ def _prim_table(form: TernaryForm, p: int) -> tuple[int, np.ndarray]:
     j = 2 * e3 + 1
     size = p**j
     table = np.zeros(size, dtype=bool)
-    for d, _v, g, vals in levels:
-        for k in np.unique(g):
-            mod = p ** (d + int(k))
-            res = np.unique(vals[g == k] % mod)
-            table.reshape(size // mod, mod)[:, res] = True
+    for d, _v, vals in levels:
+        mod = p ** (2 * d - 1)
+        table.reshape(size // mod, mod)[:, np.unique(vals % mod)] = True
     table.setflags(write=False)
     return j, table
 
 
 def _prim_witness(form: TernaryForm, p: int, m: int):
-    """First determined class accepting m; (v, d, g) or None."""
+    """First determined class accepting m; (v, d) or None.  The class's
+    gradient order is d - 1."""
     levels, e3 = _class_tree(form, p)
-    # every class modulus p^(d+g) divides p^(2*e3+1); reducing here keeps
+    # every class modulus p^(2d-1) divides p^(2*e3+1); reducing here keeps
     # the numpy arithmetic below in int64 for any m
     m %= p ** (2 * e3 + 1)
-    for d, v, g, vals in levels:
-        ok = (vals - m) % p ** (d + g.astype(np.int64)) == 0
-        idx = np.flatnonzero(ok)
+    for d, v, vals in levels:
+        idx = np.flatnonzero((vals - m) % p ** (2 * d - 1) == 0)
         if idx.size:
-            i = int(idx[0])
-            return tuple(int(t) for t in v[i]), d, int(g[i])
+            return tuple(int(t) for t in v[idx[0]]), d
     return None
 
 
@@ -304,9 +283,9 @@ def local_represents(form: TernaryForm, p: int, n: int) -> LocalVerdict:
         m = n // p ** (2 * j)
         hit = _prim_witness(form, p, m)
         if hit is not None:
-            v, _d, g = hit
+            v, d = hit
             res = (p**j * v[0], p**j * v[1], p**j * v[2])
-            return LocalVerdict(p, n, True, residue=res, precision=j + g, grad_ord=j + g)
+            return LocalVerdict(p, n, True, residue=res, precision=j + d - 1, grad_ord=j + d - 1)
     exhaust = 2 * (ord_p(p, 2 * n * det2) // 2) + 1
     return LocalVerdict(p, n, False, precision=exhaust)
 

@@ -121,6 +121,18 @@ class TestParsing:
         with pytest.raises(CatalogError, match="squareclass token"):
             loads(doctored(catalog, "exceptional M1\n", "exceptional Q1\n"))
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("delta 64", "delta x64", r"record A1: bad delta 'x64'"),
+            (" lambda=1 ", " lambda=one ", r"record A1: bad lambda 'one'"),
+            ("theta={1,2,5,10}", "theta={1,2,5,1O}", r"record A1: bad theta '1O'"),
+        ],
+    )
+    def test_bad_integer_names_record(self, catalog, old, new, match):
+        with pytest.raises(CatalogError, match=match):
+            loads(doctored(catalog, old, new))
+
 
 class TestValidation:
     def test_wrong_delta(self, catalog):

@@ -129,6 +129,23 @@ class TestLocalCommand:
         assert code == 0
         assert out == "non-representable: exhausted mod 3^3\n"
 
+    @pytest.mark.parametrize(
+        "rid, p, n, want",
+        [
+            ("A12", "2", "256", "x=(5,61,15) with F(x) = 256 mod 2^13, gradient order 6"),
+            ("A13", "2", "64", "x=(30,0,1) with F(x) = 64 mod 2^11, gradient order 5"),
+            ("A9", "2", "320", "x=(2,26,1) with F(x) = 320 mod 2^11, gradient order 5"),
+            ("C1", "7", "7", "x=(0,1,0) with F(x) = 7 mod 7^3, gradient order 1"),
+        ],
+        ids=("A12", "A13", "A9", "C1"),
+    )
+    def test_deepest_tree_levels(self, capsys, rid, p, n, want):
+        # witnesses from the deepest class-tree levels, where the gradient
+        # order d - 1 and the modulus p^(2d-1) are largest
+        code, out, _ = run(capsys, "local", rid, p, n)
+        assert code == 0
+        assert out == f"representable: {want}\n"
+
 
 class TestExceptionalListCommand:
     def test_a1(self, capsys):
@@ -227,6 +244,16 @@ class TestReportCommand:
         code, _, _ = run(capsys, "report", "A1", "--bound", "60", "--output", str(path))
         assert code == 0
         assert path.read_text() == out
+
+    @pytest.mark.parametrize("bound", ("0", "-1"))
+    def test_bad_bound_leaves_output_file(self, capsys, tmp_path, bound):
+        path = tmp_path / "report.tsv"
+        path.write_text("sentinel\n")
+        code, out, err = run(capsys, "report", "A1", "--bound", bound, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: bound must be >= 1\n"
+        assert path.read_text() == "sentinel\n"
 
     def test_unwritable_path(self, capsys):
         code, _, err = run(

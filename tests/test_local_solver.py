@@ -11,6 +11,7 @@ from spinor_ternary import load_default_catalog
 from spinor_ternary.forms_core import TernaryForm, evaluate
 from spinor_ternary.local_solver import (
     LocalSplitting,
+    _prim_table,
     genus_mask,
     genus_represents,
     lemma71_excluded,
@@ -169,6 +170,30 @@ class TestBulkMask:
                 for bound in (1, p**2 - 1, p**2, p**2 + 1, p**4 - 1, p**4, p**4 + 1):
                     mask = local_mask(form, p, bound)
                     assert mask.tolist() == want[: bound + 1], (rec.rid, p, bound)
+
+    def test_table_matches_brute_force(self, catalog):
+        # independent of the class tree: every primitive v mod p^J, on the
+        # (record, p) whose p^(3J) vectors are few enough to enumerate
+        checked = []
+        for rec in catalog.records:
+            form = rec.sgi_forms[0]
+            for p in rec.ramified_primes():
+                j, table = _prim_table(form, p)
+                mod = p**j
+                if mod**3 > 2**21:
+                    continue
+                r = np.arange(mod, dtype=np.int64)
+                x, y, z = (a.ravel() for a in np.meshgrid(r, r, r, indexing="ij"))
+                prim = (x % p != 0) | (y % p != 0) | (z % p != 0)
+                a, b, c, d, e, f = form.coeffs()
+                vals = (a * x * x + b * y * y + c * z * z + d * y * z + e * x * z + f * x * y)[prim]
+                want = np.zeros(mod, dtype=bool)
+                want[vals % mod] = True
+                assert np.array_equal(table, want), (rec.rid, p)
+                checked.append((rec.rid, p))
+        assert sorted(checked) == sorted(
+            (rid, 2) for rid in ("C1", "B5", "B8", "C3", "B1", "B2", "B3", "B6", "B7", "C2")
+        )
 
     def test_unramified_mask_is_all_true(self):
         mask = local_mask(A1, 5, 50)
