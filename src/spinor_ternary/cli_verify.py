@@ -40,7 +40,6 @@ from .spinor_theory import (
     REPRESENTED,
     classify,
     spinor_exceptional_general,
-    squareclass_match,
 )
 
 DEFAULT_BOUND = 50000
@@ -48,6 +47,7 @@ DEFAULT_BOUND = 50000
 __all__ = [
     "VerificationReport",
     "mt_mask",
+    "squareclass_index",
     "squareclass_mask",
     "exceptional_general_mask",
     "closed_form_missed_mask",
@@ -99,13 +99,20 @@ def mt_mask(t: int, wmax: int) -> np.ndarray:
     return ok
 
 
+def squareclass_index(spec, bound: int) -> np.ndarray:
+    """idx[n] for 0 <= n <= bound: the index in `spec` of the first (s, t)
+    entry with n in s*Mt^2 (as squareclass_match picks it), or -1."""
+    out = np.full(bound + 1, -1, dtype=np.int8)
+    # later entries first, so an earlier entry overwrites them
+    for i, (s, t) in reversed(list(enumerate(spec))):
+        ws = np.flatnonzero(mt_mask(t, math.isqrt(bound // s)))
+        out[s * ws * ws] = i
+    return out
+
+
 def squareclass_mask(spec, bound: int) -> np.ndarray:
     """mask[n] == (n in some s*Mt^2 squareclass of `spec`) for 0 <= n <= bound."""
-    out = np.zeros(bound + 1, dtype=bool)
-    for s, t in spec:
-        ws = np.flatnonzero(mt_mask(t, math.isqrt(bound // s)))
-        out[s * ws * ws] = True
-    return out
+    return squareclass_index(spec, bound) >= 0
 
 
 def _even_order_candidates(rec: GenusRecord, bound: int) -> np.ndarray:
@@ -162,8 +169,9 @@ def closed_form_missed_mask(rid: str, bound: int) -> np.ndarray | None:
 def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
     """Check, for every n <= bound, that the three routes agree:
     (genus-represented and not enumerated) == squareclass spec ==
-    general criterion; for B4 and B11 additionally that the enumerated
-    set matches the closed-form characterization of what the form misses.
+    general criterion, and that every enumerated n is genus-represented;
+    for B4 and B11 additionally that the enumerated set matches the
+    closed-form characterization of what the form misses.
     """
     t0 = perf_counter()
     rs = enumerate_represented(rec.sgi_forms[0], bound)
@@ -172,7 +180,8 @@ def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
     spec = squareclass_mask(rec.exceptional_spec, bound)
     crit = exceptional_general_mask(rec, bound, gen)
     enum_exc = gen & ~rep
-    agree = (enum_exc == spec) & (spec == crit)
+    # rep <= gen too: a represented n is represented everywhere locally
+    agree = (enum_exc == spec) & (spec == crit) & (gen | ~rep)
     bad = set((np.flatnonzero(~agree[1:]) + 1).tolist())
     closed = closed_form_missed_mask(rec.rid, bound)
     if closed is not None:
@@ -198,46 +207,46 @@ def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationRepor
 
 # ----------------------------------------------------------------- report
 
-def _classification_rows(rec: GenusRecord, bound: int):
-    rs = enumerate_represented(rec.sgi_forms[0], bound)
-    spec = squareclass_mask(rec.exceptional_spec, bound)
-    locals_ = [
-        (p, local_mask(rec.sgi_forms[0], p, bound)) for p in rec.ramified_primes()
-    ]
-    for n in range(1, bound + 1):
-        failing = next((p for p, mask in locals_ if not mask[n]), None)
-        if failing is not None:
-            yield n, LOCALLY_EXCLUDED, f"p={failing}"
-        elif spec[n]:
-            s, t = squareclass_match(rec.exceptional_spec, n)
-            yield n, EXCEPTIONAL, f"s={s},t={t}"
-        else:
-            wit = rs.witness(n)
-            if wit is None:
-                yield n, "INCONSISTENT", "no witness"
-            else:
-                yield n, REPRESENTED, f"({wit.x},{wit.y},{wit.z})"
-
-
 def write_report(records, bound: int, stream) -> int:
-    """Tab-separated per-n verdicts, one block per record.  Returns the
-    number of INCONSISTENT rows (0 in a healthy run)."""
+    """Tab-separated per-n verdicts, one block per record, decided from
+    masks in the order `classify` decides them.  Returns the number of
+    INCONSISTENT rows (0 in a healthy run)."""
     bad = 0
     for rec in records:
-        counts = {REPRESENTED: 0, EXCEPTIONAL: 0, LOCALLY_EXCLUDED: 0, "INCONSISTENT": 0}
-        rows = []
-        for n, verdict, detail in _classification_rows(rec, bound):
-            counts[verdict] += 1
-            rows.append(f"{n}\t{verdict}\t{detail}")
+        form = rec.sgi_forms[0]
+        rs = enumerate_represented(form, bound)
+        rep = rs.member_mask()
+        # verdict and detail of each n, then its whole row; slice
+        # assignment shares one str (np.full would copy it per n)
+        tail = np.empty(bound + 1, dtype=object)
+        tail[:] = "INCONSISTENT\tno witness"
+        open_ = np.ones(bound + 1, dtype=bool)  # n not yet given a verdict
+        open_[0] = False
+        for p in rec.ramified_primes():  # the first failing prime
+            hit = open_ & ~local_mask(form, p, bound)
+            tail[hit] = f"{LOCALLY_EXCLUDED}\tp={p}"
+            tail[hit & rep] = f"INCONSISTENT\trepresented, excluded at p={p}"
+            open_ &= ~hit
+        excluded = int((~open_[1:] & ~rep[1:]).sum())
+        idx = np.where(open_, squareclass_index(rec.exceptional_spec, bound), -1)
+        for i, (s, t) in enumerate(rec.exceptional_spec):  # the first matching entry
+            tail[idx == i] = f"{EXCEPTIONAL}\ts={s},t={t}"
+        exceptional = int((idx >= 0).sum())
+        has_wit = open_ & (idx < 0) & rep
+        wit = np.flatnonzero(has_wit)
+        rest = np.flatnonzero(~has_wit[1:]) + 1
+        tail[wit] = [
+            f"{n}\t{REPRESENTED}\t({x},{y},{z})"
+            for n, x, y, z in zip(wit.tolist(), *(a.tolist() for a in rs.witnesses(wit)))
+        ]
+        tail[rest] = [f"{n}\t{v}" for n, v in zip(rest.tolist(), tail[rest].tolist())]
         stream.write(
-            f"# record {rec.rid} bound={bound}"
-            f" represented={counts[REPRESENTED]}"
-            f" exceptional={counts[EXCEPTIONAL]}"
-            f" locally_excluded={counts[LOCALLY_EXCLUDED]}\n"
+            f"# record {rec.rid} bound={bound} represented={wit.size}"
+            f" exceptional={exceptional} locally_excluded={excluded}\n"
         )
-        stream.write("\n".join(rows))
+        stream.write("\n".join(tail[1:].tolist()))
         stream.write("\n")
-        bad += counts["INCONSISTENT"]
+        bad += bound - wit.size - exceptional - excluded
     return bad
 
 

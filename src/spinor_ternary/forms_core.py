@@ -154,10 +154,22 @@ class RepresentedSet:
         """The lexicographically least (x >= 0, y, z) with F = n."""
         if n not in self:
             return None
+        return Witness(*self._decode(int(self._key[n])))
+
+    def witnesses(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """witness(n) for every n of the integer array ns, as arrays (x, y, z);
+        every n must be in the set."""
+        ns = np.asarray(ns, dtype=np.int64)
+        if ns.size and (ns.min() < 1 or ns.max() > self.bound or not self._member[ns].all()):
+            raise ValueError("witnesses asked for an n outside the set")
+        return self._decode(self._key[ns])
+
+    def _decode(self, key):
+        # int or int64 array alike: x, then y and z shifted back to the box
         x2, x3, nz = self._box
-        x, flat = divmod(int(self._key[n]), (2 * x2 + 1) * nz)
+        x, flat = divmod(key, (2 * x2 + 1) * nz)
         y, z = divmod(flat, nz)
-        return Witness(x, y - x2, z - x3)
+        return x, y - x2, z - x3
 
 
 def _coordinate_bounds(form: TernaryForm, bound: int) -> tuple[int, int, int]:

@@ -14,10 +14,20 @@ from spinor_ternary.cli_verify import (
     exceptional_general_mask,
     main,
     mt_mask,
+    squareclass_index,
     squareclass_mask,
     verify_record,
 )
-from spinor_ternary.spinor_theory import in_Mt, spinor_exceptional_general
+from spinor_ternary.forms_core import enumerate_represented
+from spinor_ternary.spinor_theory import (
+    EXCEPTIONAL,
+    LOCALLY_EXCLUDED,
+    REPRESENTED,
+    classify,
+    in_Mt,
+    spinor_exceptional_general,
+    squareclass_match,
+)
 
 
 def run(capsys, *argv):
@@ -39,6 +49,24 @@ class TestMasks:
         assert set(np.flatnonzero(mask)) == {1, 25}
         mask = squareclass_mask(((1, 1), (4, 1), (16, 1)), 100)
         assert set(np.flatnonzero(mask)) == {1, 4, 16, 25, 100}
+
+    def test_squareclass_index_matches_pointwise(self, catalog):
+        for spec in {rec.exceptional_spec for rec in catalog.records}:
+            idx = squareclass_index(spec, 2000)
+            assert idx[0] == -1
+            for n in range(1, 2001):
+                match = squareclass_match(spec, n)
+                assert (idx[n] == -1) == (match is None), (spec, n)
+                assert match is None or spec[idx[n]] == match, (spec, n)
+
+    def test_squareclass_index_first_match(self):
+        # 25*w^2 = (5w)^2 with 5 in M_1, so both entries hold 25 and 625
+        spec = ((1, 1), (25, 1))
+        for order in (spec, spec[::-1]):
+            idx = squareclass_index(order, 700)
+            for n in (25, 625):
+                assert order[idx[n]] == squareclass_match(order, n) == order[0]
+            assert order[idx[1]] == (1, 1)
 
     # a bound that is itself a candidate r*m^2 (1, 2, 48 = 3 * 4^2) catches
     # an off-by-one in the range of m; 1 is an exceptional integer of A1
@@ -204,6 +232,22 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: --jobs must be between 1 and")
 
+    def test_represented_but_not_genus_represented_fails(self, capsys, monkeypatch):
+        # a genus test that wrongly drops represented n must fail every record
+        real = cli_verify.genus_mask
+
+        def drops_thousands(rec, bound):
+            mask = real(rec, bound).copy()
+            mask[::1000] = False
+            return mask
+
+        monkeypatch.setattr(cli_verify, "genus_mask", drops_thousands)
+        code, out, _ = run(capsys, "verify", "all", "--bound", "10000")
+        assert code == 1
+        summaries = [ln for ln in out.splitlines() if not ln.startswith("MISMATCH")]
+        assert len(summaries) == 29
+        assert all(ln.endswith("FAIL") for ln in summaries)
+
     def test_mismatch_exit_status(self, capsys, catalog, tmp_path):
         # a deliberately wrong squareclass spec must surface as mismatches
         bad = dumps(catalog).replace("exceptional 3M3", "exceptional M1")
@@ -271,6 +315,54 @@ class TestReportCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a65304a5644e17fffe687d6716903239477af00d6136883780bb9b04c53cd664"
         )
+
+    def test_wide_box_bytes(self, capsys):
+        # A1 at 2e4 holds the largest witness keys of the benchmark reports
+        code, out, _ = run(capsys, "report", "A1", "--bound", "20000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "edeaa63c62a79c47461f1e1ecc692df304cc57d45e9e9aefe0cb53b9e12fe0d1"
+        )
+
+    def test_rows_match_pointwise_classify(self, capsys, catalog):
+        # classify decides one n at a time (locally_represented,
+        # squareclass_match, witness), so it checks the bulk verdict order
+        bound = 300
+        code, out, _ = run(capsys, "report", "all", "--bound", str(bound))
+        assert code == 0
+        lines = iter(out.splitlines())
+        for rec in catalog.records:
+            assert next(lines).startswith(f"# record {rec.rid} bound={bound} ")
+            rs = enumerate_represented(rec.sgi_forms[0], bound)
+            for n in range(1, bound + 1):
+                got = classify(rec, n, rs)
+                if got.verdict == REPRESENTED:
+                    detail = "({},{},{})".format(*got.witness)
+                elif got.verdict == EXCEPTIONAL:
+                    detail = "s={},t={}".format(*got.matched)
+                else:
+                    assert got.verdict == LOCALLY_EXCLUDED
+                    detail = f"p={got.failing_prime}"
+                assert next(lines) == f"{n}\t{got.verdict}\t{detail}"
+        assert next(lines, None) is None
+
+    def test_represented_but_excluded_is_inconsistent(self, capsys, monkeypatch):
+        real = cli_verify.local_mask
+
+        def drops_sevens(form, p, bound):
+            mask = real(form, p, bound).copy()
+            mask[::7] = False
+            return mask
+
+        monkeypatch.setattr(cli_verify, "local_mask", drops_sevens)
+        code, out, _ = run(capsys, "report", "A1", "--bound", "30")
+        assert code == 1
+        rows = out.splitlines()
+        # A1 takes 21 at (1,-3,1); 7, 14 and 28 fail at p = 2 anyway
+        assert rows[0] == "# record A1 bound=30 represented=14 exceptional=2 locally_excluded=13"
+        assert rows[14] == "14\tLOCALLY_EXCLUDED\tp=2"
+        assert rows[21] == "21\tINCONSISTENT\trepresented, excluded at p=2"
+        assert sum("INCONSISTENT" in row for row in rows) == 1
 
     def test_inconsistent_rows_fail(self, capsys, catalog, tmp_path):
         bad = dumps(catalog).replace("exceptional 3M3", "exceptional M1")

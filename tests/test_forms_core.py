@@ -136,6 +136,21 @@ class TestEnumeration:
         for n in range(1, 121):
             assert mask[n] == (n in rs)
 
+    def test_bulk_witnesses_match_scalar(self, catalog):
+        for rec in catalog.records:
+            for form in rec.all_forms():
+                rs = enumerate_represented(form, 500)
+                ns = np.flatnonzero(rs.member_mask())
+                x, y, z = rs.witnesses(ns)
+                got = list(zip(x.tolist(), y.tolist(), z.tolist()))
+                assert got == [tuple(rs.witness(int(n))) for n in ns], (rec.rid, form)
+
+    @pytest.mark.parametrize("ns", ([7], [0], [21], [3, 7]))
+    def test_bulk_witnesses_reject_non_members(self, ns):
+        rs = enumerate_represented(TernaryForm(1, 1, 1, 0, 0, 0), 20)
+        with pytest.raises(ValueError):
+            rs.witnesses(np.array(ns))
+
     def test_rejects_indefinite(self):
         with pytest.raises(DefinitenessError):
             enumerate_represented(TernaryForm(1, 1, -1, 0, 0, 0), 10)
