@@ -113,20 +113,12 @@ def _parse_form(text: str, where: str) -> TernaryForm:
 def _parse_splitting(p: int, text: str, where: str) -> LocalSplitting:
     comps = []
     for tok in text.split(","):
-        head, sep, exp = tok.partition(":")
-        if not sep:
-            raise CatalogError(f"{where}: bad splitting token {tok!r}")
+        # a token without ":" leaves exp empty, which int() rejects too
+        head, _, exp = tok.partition(":")
         try:
-            k = int(exp)
+            comps.append((head, int(exp)) if head in ("H", "A") else ("diag", int(head), int(exp)))
         except ValueError:
             raise CatalogError(f"{where}: bad splitting token {tok!r}") from None
-        if head in ("H", "A"):
-            comps.append((head, k))
-        else:
-            try:
-                comps.append(("diag", int(head), k))
-            except ValueError:
-                raise CatalogError(f"{where}: bad splitting token {tok!r}") from None
     return LocalSplitting(p, tuple(comps))
 
 

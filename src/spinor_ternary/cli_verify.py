@@ -26,11 +26,10 @@ from .arith import is_padic_square
 from .catalog import CatalogError, CatalogFile, GenusRecord, dumps, load_catalog, load_default_catalog
 from .forms_core import BoundOverflowError, enumerate_represented
 from .local_solver import (
-    genus_mask,
+    first_failing_prime,
     lemma71_excluded,
     lemma72_excluded,
     lemma73_excluded,
-    local_mask,
     local_represents,
     unramified_shortcut,
 )
@@ -51,6 +50,7 @@ __all__ = [
     "squareclass_mask",
     "exceptional_general_mask",
     "closed_form_missed_mask",
+    "record_masks",
     "verify_record",
     "verify_records",
     "write_report",
@@ -87,8 +87,6 @@ def mt_mask(t: int, wmax: int) -> np.ndarray:
     """mask[w] == (w in M_t) for 0 <= w <= wmax (index 0 is False)."""
     ok = np.ones(wmax + 1, dtype=bool)
     ok[0] = False
-    if wmax < 2:
-        return ok
     sieve = np.ones(wmax + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, wmax + 1):
@@ -137,14 +135,10 @@ def _even_order_candidates(rec: GenusRecord, bound: int) -> np.ndarray:
     return out
 
 
-def exceptional_general_mask(
-    rec: GenusRecord, bound: int, genus: np.ndarray | None = None
-) -> np.ndarray:
+def exceptional_general_mask(rec: GenusRecord, bound: int, genus: np.ndarray) -> np.ndarray:
     """Spinor-exceptional verdicts from the general criterion, evaluated
-    pointwise on the genus-represented integers that pass its even-order
-    clause; the criterion rejects every other n at that clause."""
-    if genus is None:
-        genus = genus_mask(rec, bound)
+    pointwise on the genus-represented integers (`genus`) that pass its
+    even-order clause; the criterion rejects every other n at that clause."""
     out = np.zeros(bound + 1, dtype=bool)
     for n in np.flatnonzero(genus & _even_order_candidates(rec, bound)):
         out[n] = spinor_exceptional_general(rec, int(n))
@@ -166,6 +160,21 @@ def closed_form_missed_mask(rid: str, bound: int) -> np.ndarray | None:
 
 # ------------------------------------------------------------ verification
 
+def record_masks(rec: GenusRecord, bound: int):
+    """Routes 1 and 2 over 0..bound: (rs, fail, idx, bad), the enumeration,
+    first_failing_prime, squareclass_index and the n whose (represented,
+    genus-represented, in a squareclass) is none of the consistent (1, 1, 0)
+    REPRESENTED, (0, 1, 1) EXCEPTIONAL and (0, 0, 0) LOCALLY_EXCLUDED."""
+    rs = enumerate_represented(rec.sgi_forms[0], bound)
+    fail = first_failing_prime(rec, bound)
+    idx = squareclass_index(rec.exceptional_spec, bound)
+    rep, gen, spec = rs.member_mask(), fail == 0, idx >= 0
+    # rep <= gen too: a represented n is represented everywhere locally;
+    # n = 0 is in none of the three sets, so bad[0] is False
+    bad = ((gen & ~rep) != spec) | (rep & ~gen)
+    return rs, fail, idx, bad
+
+
 def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
     """Check, for every n <= bound, that the three routes agree:
     (genus-represented and not enumerated) == squareclass spec ==
@@ -174,25 +183,19 @@ def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
     closed-form characterization of what the form misses.
     """
     t0 = perf_counter()
-    rs = enumerate_represented(rec.sgi_forms[0], bound)
-    rep = rs.member_mask()
-    gen = genus_mask(rec, bound)
-    spec = squareclass_mask(rec.exceptional_spec, bound)
-    crit = exceptional_general_mask(rec, bound, gen)
-    enum_exc = gen & ~rep
-    # rep <= gen too: a represented n is represented everywhere locally
-    agree = (enum_exc == spec) & (spec == crit) & (gen | ~rep)
-    bad = set((np.flatnonzero(~agree[1:]) + 1).tolist())
+    rs, fail, idx, bad = record_masks(rec, bound)
+    rep, gen = rs.member_mask(), fail == 0
+    bad |= exceptional_general_mask(rec, bound, gen) != (idx >= 0)
     closed = closed_form_missed_mask(rec.rid, bound)
     if closed is not None:
-        bad.update((np.flatnonzero(closed[1:] != ~rep[1:]) + 1).tolist())
+        bad[1:] |= closed[1:] != ~rep[1:]
     return VerificationReport(
         rid=rec.rid,
         bound=bound,
         represented=int(rep[1:].sum()),
-        exceptional=int(enum_exc[1:].sum()),
+        exceptional=int((gen & ~rep)[1:].sum()),
         locally_excluded=int(bound - gen[1:].sum()),
-        mismatches=sorted(bad),
+        mismatches=np.flatnonzero(bad).tolist(),
         seconds=perf_counter() - t0,
     )
 
@@ -208,46 +211,47 @@ def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationRepor
 # ----------------------------------------------------------------- report
 
 def write_report(records, bound: int, stream) -> int:
-    """Tab-separated per-n verdicts, one block per record, decided from
-    masks in the order `classify` decides them.  Returns the number of
-    INCONSISTENT rows (0 in a healthy run)."""
-    bad = 0
+    """Tab-separated per-n verdicts, one block per record, read from
+    `record_masks`: INCONSISTENT exactly where its findings fit no verdict.
+    Returns the number of INCONSISTENT rows (0 in a healthy run)."""
+    total = 0
     for rec in records:
-        form = rec.sgi_forms[0]
-        rs = enumerate_represented(form, bound)
+        rs, fail, idx, bad = record_masks(rec, bound)
         rep = rs.member_mask()
-        # verdict and detail of each n, then its whole row; slice
-        # assignment shares one str (np.full would copy it per n)
+        # verdict and detail of each n, then its whole row; slice assignment
+        # shares one str (np.full would copy it per n)
         tail = np.empty(bound + 1, dtype=object)
-        tail[:] = "INCONSISTENT\tno witness"
-        open_ = np.ones(bound + 1, dtype=bool)  # n not yet given a verdict
-        open_[0] = False
-        for p in rec.ramified_primes():  # the first failing prime
-            hit = open_ & ~local_mask(form, p, bound)
-            tail[hit] = f"{LOCALLY_EXCLUDED}\tp={p}"
-            tail[hit & rep] = f"INCONSISTENT\trepresented, excluded at p={p}"
-            open_ &= ~hit
-        excluded = int((~open_[1:] & ~rep[1:]).sum())
-        idx = np.where(open_, squareclass_index(rec.exceptional_spec, bound), -1)
-        for i, (s, t) in enumerate(rec.exceptional_spec):  # the first matching entry
+        for p in rec.ramified_primes():
+            tail[fail == p] = f"{LOCALLY_EXCLUDED}\tp={p}"
+        for i, (s, t) in enumerate(rec.exceptional_spec):
             tail[idx == i] = f"{EXCEPTIONAL}\ts={s},t={t}"
-        exceptional = int((idx >= 0).sum())
-        has_wit = open_ & (idx < 0) & rep
-        wit = np.flatnonzero(has_wit)
+        # the n whose findings fit no verdict (none in a healthy run); (s, t)
+        # is only read where n is in a squareclass
+        for n in np.flatnonzero(bad).tolist():
+            p, (s, t) = fail[n], rec.exceptional_spec[idx[n]]
+            if rep[n]:
+                found = f"represented, excluded at p={p}" if p else f"represented, in s={s},t={t}"
+            else:
+                found = f"excluded at p={p}, in s={s},t={t}" if p else "no witness"
+            tail[n] = f"INCONSISTENT\t{found}"
+        has_wit = rep & ~bad
+        wit = np.flatnonzero(has_wit[1:]) + 1
         rest = np.flatnonzero(~has_wit[1:]) + 1
         tail[wit] = [
             f"{n}\t{REPRESENTED}\t({x},{y},{z})"
             for n, x, y, z in zip(wit.tolist(), *(a.tolist() for a in rs.witnesses(wit)))
         ]
         tail[rest] = [f"{n}\t{v}" for n, v in zip(rest.tolist(), tail[rest].tolist())]
+        ok = ~bad[1:]
         stream.write(
             f"# record {rec.rid} bound={bound} represented={wit.size}"
-            f" exceptional={exceptional} locally_excluded={excluded}\n"
+            f" exceptional={int((ok & (idx[1:] >= 0)).sum())}"
+            f" locally_excluded={int((ok & (fail[1:] != 0)).sum())}\n"
         )
         stream.write("\n".join(tail[1:].tolist()))
         stream.write("\n")
-        bad += bound - wit.size - exceptional - excluded
-    return bad
+        total += int(bad.sum())
+    return total
 
 
 # ------------------------------------------------------------ subcommands

@@ -34,6 +34,7 @@ __all__ = [
     "local_mask",
     "unramified_shortcut",
     "genus_represents",
+    "first_failing_prime",
     "genus_mask",
     "lemma71_excluded",
     "lemma72_excluded",
@@ -273,9 +274,7 @@ def local_represents(form: TernaryForm, p: int, n: int) -> LocalVerdict:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_prime(p)
-    det2 = form.gram_det()  # = 2 * disc for any nondegenerate ternary
-
-    if det2 % p != 0:
+    if unramified_shortcut(form, p):
         v = _unramified_witness(form, p, n)
         return LocalVerdict(p, n, True, residue=v, precision=0, grad_ord=0)
 
@@ -286,7 +285,7 @@ def local_represents(form: TernaryForm, p: int, n: int) -> LocalVerdict:
             v, d = hit
             res = (p**j * v[0], p**j * v[1], p**j * v[2])
             return LocalVerdict(p, n, True, residue=res, precision=j + d - 1, grad_ord=j + d - 1)
-    exhaust = 2 * (ord_p(p, 2 * n * det2) // 2) + 1
+    exhaust = 2 * (ord_p(p, 2 * n * form.gram_det()) // 2) + 1
     return LocalVerdict(p, n, False, precision=exhaust)
 
 
@@ -310,7 +309,7 @@ def locally_represented(form: TernaryForm, p: int, n: int) -> bool:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_prime(p)
-    if form.gram_det() % p != 0:
+    if unramified_shortcut(form, p):
         return True
     j, table = _prim_table(form, p)
     mod = p**j
@@ -325,10 +324,8 @@ def locally_represented(form: TernaryForm, p: int, n: int) -> bool:
 def local_mask(form: TernaryForm, p: int, bound: int) -> np.ndarray:
     """Bool array over 0..bound: n -> L_p (index 0 unused, False)."""
     _check_prime(p)
-    if form.gram_det() % p != 0:
-        out = np.ones(bound + 1, dtype=bool)
-        out[0] = False
-        return out
+    if unramified_shortcut(form, p):
+        return np.arange(bound + 1) > 0
     # n -> L_p iff n / p^(2j) is primitively represented for some p^(2j) | n:
     # for each scaling k = p^(2j), the multiples k*m read the table at m
     j, table = _prim_table(form, p)
@@ -347,10 +344,18 @@ def genus_represents(record, n: int) -> bool:
     return all(locally_represented(form, p, n) for p in record.ramified_primes())
 
 
-def genus_mask(record, bound: int) -> np.ndarray:
+def first_failing_prime(record, bound: int) -> np.ndarray:
+    """fail[n] for 0 <= n <= bound: the first ramified prime, in the
+    record's order, at which n is not locally represented, or 0 when n is
+    genus-represented (fail[0] is the first ramified prime)."""
     form = record.sgi_forms[0]
-    out = np.ones(bound + 1, dtype=bool)
-    out[0] = False
-    for p in record.ramified_primes():
-        out &= local_mask(form, p, bound)
+    out = np.zeros(bound + 1, dtype=np.int8)
+    # later primes first, so an earlier failing prime overwrites them
+    for p in reversed(record.ramified_primes()):
+        out[~local_mask(form, p, bound)] = p
     return out
+
+
+def genus_mask(record, bound: int) -> np.ndarray:
+    """mask[n] == (n -> gen) for 0 <= n <= bound (index 0 False)."""
+    return first_failing_prime(record, bound) == 0

@@ -12,7 +12,7 @@ from enum import Enum
 
 from .arith import factor, in_local_norm_group, is_padic_square, legendre, ord_p
 from .forms_core import RepresentedSet, Witness
-from .local_solver import genus_represents, locally_represented
+from .local_solver import locally_represented
 
 __all__ = [
     "OddBoundType",
@@ -123,8 +123,9 @@ def normgroup_is_closed(p: int, gens) -> bool:
 
 
 def spinor_exceptional_general(record, n: int) -> bool:
-    """Full criterion: n is a spinor exceptional integer for the record's
-    genus.  Requires, beyond genus representability:
+    """Full criterion for a genus-represented n, which the caller checks (on
+    any other n the answer means nothing): n is a spinor exceptional integer
+    for the record's genus iff
 
     - at primes away from 2*delta: even order of n, and -n*delta a local
       square wherever that order is positive;
@@ -135,8 +136,6 @@ def spinor_exceptional_general(record, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not genus_represents(record, n):
-        return False
     ndelta = n * record.delta
     ram = record.ramified_primes()
     for p, e in factor(n):

@@ -117,6 +117,11 @@ class TestParsing:
         with pytest.raises(CatalogError, match="splitting token"):
             loads(doctored(catalog, "splitting=1:0,1:0,1:4", "splitting=1:0,x,1:4"))
 
+    @pytest.mark.parametrize("token", ("H:", "A:x", "q:1", "1:", "1:0:0"))
+    def test_bad_splitting_token_parts(self, catalog, token):
+        with pytest.raises(CatalogError, match=f"bad splitting token '{token}'"):
+            loads(doctored(catalog, "splitting=1:0,1:0,1:4", f"splitting=1:0,{token},1:4"))
+
     def test_bad_squareclass_token(self, catalog):
         with pytest.raises(CatalogError, match="squareclass token"):
             loads(doctored(catalog, "exceptional M1\n", "exceptional Q1\n"))

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from spinor_ternary import cli_verify
+from spinor_ternary import cli_verify, local_solver
 from spinor_ternary.catalog import dumps, loads
 from spinor_ternary.cli_verify import (
     closed_form_missed_mask,
@@ -19,6 +19,7 @@ from spinor_ternary.cli_verify import (
     verify_record,
 )
 from spinor_ternary.forms_core import enumerate_represented
+from spinor_ternary.local_solver import genus_mask, genus_represents
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
     LOCALLY_EXCLUDED,
@@ -73,10 +74,13 @@ class TestMasks:
     @pytest.mark.parametrize("bound", (1, 2, 48, 3000))
     def test_criterion_mask_matches_pointwise(self, catalog, bound):
         for rec in catalog.records:
-            mask = exceptional_general_mask(rec, bound)
+            mask = exceptional_general_mask(rec, bound, genus_mask(rec, bound))
             assert not mask[0]
             for n in range(1, bound + 1):
-                assert mask[n] == spinor_exceptional_general(rec, n), (rec.rid, n)
+                # the criterion runs first, so it is called (and must not
+                # raise) on every n, genus-represented or not
+                want = spinor_exceptional_general(rec, n) and genus_represents(rec, n)
+                assert mask[n] == want, (rec.rid, n)
 
     def test_closed_form_only_for_the_two_regular_forms(self):
         assert closed_form_missed_mask("A1", 50) is None
@@ -234,19 +238,37 @@ class TestVerifyCommand:
 
     def test_represented_but_not_genus_represented_fails(self, capsys, monkeypatch):
         # a genus test that wrongly drops represented n must fail every record
-        real = cli_verify.genus_mask
+        real = local_solver.local_mask
 
-        def drops_thousands(rec, bound):
-            mask = real(rec, bound).copy()
+        def drops_thousands(form, p, bound):
+            mask = real(form, p, bound).copy()
             mask[::1000] = False
             return mask
 
-        monkeypatch.setattr(cli_verify, "genus_mask", drops_thousands)
+        monkeypatch.setattr(local_solver, "local_mask", drops_thousands)
         code, out, _ = run(capsys, "verify", "all", "--bound", "10000")
         assert code == 1
         summaries = [ln for ln in out.splitlines() if not ln.startswith("MISMATCH")]
         assert len(summaries) == 29
         assert all(ln.endswith("FAIL") for ln in summaries)
+
+    def test_all_records_bytes(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--bound", "10000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "101cd3ec333a97ff2c40284e88e00677899360f7efc524b253a4085b9f611693"
+        )
+
+    def test_failing_run_bytes(self, capsys, catalog, tmp_path):
+        # pins the summaries, the MISMATCH lines and their order of a
+        # failing run; the other 28 records still pass
+        path = tmp_path / "bad.txt"
+        path.write_text(dumps(catalog).replace("exceptional 3M3", "exceptional M1"))
+        code, out, _ = run(capsys, "--catalog", str(path), "verify", "all", "--bound", "3000")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "136d2deb9f911512dec69443d0f48be89efe66bd0eef638a5b14161c95dc8a95"
+        )
 
     def test_mismatch_exit_status(self, capsys, catalog, tmp_path):
         # a deliberately wrong squareclass spec must surface as mismatches
@@ -347,14 +369,14 @@ class TestReportCommand:
         assert next(lines, None) is None
 
     def test_represented_but_excluded_is_inconsistent(self, capsys, monkeypatch):
-        real = cli_verify.local_mask
+        real = local_solver.local_mask
 
         def drops_sevens(form, p, bound):
             mask = real(form, p, bound).copy()
             mask[::7] = False
             return mask
 
-        monkeypatch.setattr(cli_verify, "local_mask", drops_sevens)
+        monkeypatch.setattr(local_solver, "local_mask", drops_sevens)
         code, out, _ = run(capsys, "report", "A1", "--bound", "30")
         assert code == 1
         rows = out.splitlines()
@@ -373,6 +395,42 @@ class TestReportCommand:
         )
         assert code == 1
         assert "INCONSISTENT" in out
+
+    def test_represented_squareclass_is_inconsistent(self, capsys, catalog, tmp_path):
+        # B3 represents every n in M1^2 it reaches, so a spec claiming them
+        # exceptional contradicts the enumeration on each one
+        path = tmp_path / "bad.txt"
+        path.write_text(dumps(catalog).replace("exceptional 3M3", "exceptional M1"))
+        code, out, _ = run(capsys, "--catalog", str(path), "report", "B3", "--bound", "2000")
+        assert code == 1
+        rows = out.splitlines()
+        assert rows[0].startswith("# record B3 bound=2000 represented=")
+        assert " exceptional=0 " in rows[0]
+        for n in (1, 25, 169):
+            assert rows[n] == f"{n}\tINCONSISTENT\trepresented, in s=1,t=1"
+
+    def test_inconsistent_rows_are_the_disagreements(self, capsys, catalog, tmp_path):
+        # 2*M1^2 holds n that fail at p = 2, M1^2 holds represented n and
+        # dropping 3M3 leaves B3's exceptional n without a squareclass
+        text = dumps(catalog).replace("exceptional 3M3", "exceptional M1 2M1")
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        bound = 2000
+        code, out, _ = run(capsys, "--catalog", str(path), "report", "all", "--bound", str(bound))
+        assert code == 1
+        lines = iter(out.splitlines())
+        details = set()
+        for rec in loads(text).records:
+            next(lines)
+            rows = [next(lines).split("\t") for _ in range(bound)]
+            got = {int(r[0]) for r in rows if r[1] == "INCONSISTENT"}
+            details |= {r[2] for r in rows if r[1] == "INCONSISTENT"}
+            rep = enumerate_represented(rec.sgi_forms[0], bound).member_mask()
+            gen = genus_mask(rec, bound)
+            spec = squareclass_mask(rec.exceptional_spec, bound)
+            want = ((gen & ~rep) != spec) | (rep & ~gen)
+            assert got == set(np.flatnonzero(want[1:]) + 1), rec.rid
+        assert details == {"represented, in s=1,t=1", "excluded at p=2, in s=2,t=1", "no witness"}
 
 
 class TestCatalogPlumbing:
