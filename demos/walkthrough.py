@@ -32,8 +32,10 @@ def main() -> None:
         elif out.verdict == "EXCEPTIONAL":
             s, t = out.matched
             detail = f"lies in {s}*M_{t}^2, represented by the other spinor genus"
-        else:
+        elif out.verdict == "LOCALLY_EXCLUDED":
             detail = f"no solution over Z_{out.failing_prime}"
+        else:
+            detail = out.detail
         print(f"  n={n:>3}  {out.verdict:<16} {detail}")
 
     print()

@@ -42,6 +42,7 @@ from .local_solver import (
 )
 from .spinor_theory import (
     EXCEPTIONAL,
+    INCONSISTENT,
     LOCALLY_EXCLUDED,
     REPRESENTED,
     Classification,

@@ -35,9 +35,11 @@ from .local_solver import (
 )
 from .spinor_theory import (
     EXCEPTIONAL,
+    INCONSISTENT,
     LOCALLY_EXCLUDED,
     REPRESENTED,
     classify,
+    inconsistency,
     spinor_exceptional_general,
 )
 
@@ -225,15 +227,10 @@ def write_report(records, bound: int, stream) -> int:
             tail[fail == p] = f"{LOCALLY_EXCLUDED}\tp={p}"
         for i, (s, t) in enumerate(rec.exceptional_spec):
             tail[idx == i] = f"{EXCEPTIONAL}\ts={s},t={t}"
-        # the n whose findings fit no verdict (none in a healthy run); (s, t)
-        # is only read where n is in a squareclass
+        # the n whose findings fit no verdict (none in a healthy run)
         for n in np.flatnonzero(bad).tolist():
-            p, (s, t) = fail[n], rec.exceptional_spec[idx[n]]
-            if rep[n]:
-                found = f"represented, excluded at p={p}" if p else f"represented, in s={s},t={t}"
-            else:
-                found = f"excluded at p={p}, in s={s},t={t}" if p else "no witness"
-            tail[n] = f"INCONSISTENT\t{found}"
+            matched = rec.exceptional_spec[idx[n]] if idx[n] >= 0 else None
+            tail[n] = f"{INCONSISTENT}\t{inconsistency(bool(rep[n]), int(fail[n]) or None, matched)}"
         has_wit = rep & ~bad
         wit = np.flatnonzero(has_wit[1:]) + 1
         rest = np.flatnonzero(~has_wit[1:]) + 1
@@ -272,8 +269,11 @@ def cmd_classify(catalog: CatalogFile, args) -> int:
     elif result.verdict == EXCEPTIONAL:
         s, t = result.matched
         print(f"{EXCEPTIONAL}, matched (s={s}, t={t})")
-    else:
+    elif result.verdict == LOCALLY_EXCLUDED:
         print(f"{LOCALLY_EXCLUDED}, fails at p={result.failing_prime}")
+    else:
+        print(f"{INCONSISTENT}, {result.detail}")
+        return 1
     return 0
 
 

@@ -20,6 +20,8 @@ __all__ = [
     "REPRESENTED",
     "EXCEPTIONAL",
     "LOCALLY_EXCLUDED",
+    "INCONSISTENT",
+    "inconsistency",
     "in_Mt",
     "congruence_Mt",
     "squareclass_match",
@@ -31,6 +33,7 @@ __all__ = [
 REPRESENTED = "REPRESENTED"
 EXCEPTIONAL = "EXCEPTIONAL"
 LOCALLY_EXCLUDED = "LOCALLY_EXCLUDED"
+INCONSISTENT = "INCONSISTENT"
 
 # -t is a p-adic square exactly on these residue classes of odd primes
 # (and for t = 7 also at p = 2, since -7 = 1 mod 8)
@@ -68,6 +71,20 @@ class Classification:
     witness: Witness | None = None
     failing_prime: int | None = None
     matched: tuple[int, int] | None = None
+    detail: str | None = None
+
+
+def inconsistency(represented: bool, failing_prime: int | None, matched) -> str | None:
+    """The INCONSISTENT detail of n's findings (enumerated, first refusing
+    ramified prime, first matching (s, t)), or None for the consistent REPRESENTED
+    (True, None, None), EXCEPTIONAL (False, None, (s, t)), LOCALLY_EXCLUDED (False, p, None)."""
+    if represented:
+        if failing_prime:
+            return f"represented, excluded at p={failing_prime}"
+        return "represented, in s={},t={}".format(*matched) if matched else None
+    if failing_prime:
+        return "excluded at p={}, in s={},t={}".format(failing_prime, *matched) if matched else None
+    return None if matched else "no witness"
 
 
 def in_Mt(t: int, w: int) -> bool:
@@ -165,20 +182,14 @@ def spinor_exceptional_general(record, n: int) -> bool:
 
 
 def classify(record, n: int, represented: RepresentedSet) -> Classification:
-    """Three-way verdict for (record, n); needs an exhaustive enumeration
-    of the record's spinor regular form reaching at least n."""
+    """Verdict for (record, n) from its three findings, INCONSISTENT where they disagree;
+    needs an exhaustive enumeration of the record's spinor regular form reaching n."""
     if n > represented.bound:
         raise ValueError(f"n={n} beyond the enumeration bound {represented.bound}")
-    for p in record.ramified_primes():
-        if not locally_represented(record.sgi_forms[0], p, n):
-            return Classification(LOCALLY_EXCLUDED, failing_prime=p)
+    form = record.sgi_forms[0]
+    failing = next((p for p in record.ramified_primes() if not locally_represented(form, p, n)), None)
     matched = squareclass_match(record.exceptional_spec, n)
-    if matched is not None:
-        return Classification(EXCEPTIONAL, matched=matched)
     wit = represented.witness(n)
-    if wit is None:
-        raise ValueError(
-            f"{record.rid}: n={n} is genus-represented, outside the exceptional "
-            "squareclasses, yet not in the enumeration; catalog or solver defect"
-        )
-    return Classification(REPRESENTED, witness=wit)
+    verdict = REPRESENTED if wit is not None else EXCEPTIONAL if matched else LOCALLY_EXCLUDED
+    detail = inconsistency(wit is not None, failing, matched)
+    return Classification(INCONSISTENT if detail else verdict, wit, failing, matched, detail)

@@ -3,6 +3,7 @@ bulk verification masks behind the verify subcommand."""
 
 import hashlib
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from spinor_ternary.forms_core import enumerate_represented
 from spinor_ternary.local_solver import genus_mask, genus_represents
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
+    INCONSISTENT,
     LOCALLY_EXCLUDED,
     REPRESENTED,
     classify,
     in_Mt,
+    inconsistency,
     spinor_exceptional_general,
     squareclass_match,
 )
@@ -82,6 +85,22 @@ class TestMasks:
                 want = spinor_exceptional_general(rec, n) and genus_represents(rec, n)
                 assert mask[n] == want, (rec.rid, n)
 
+    def test_bulk_bad_is_the_shared_rule(self, catalog, monkeypatch):
+        # n = 1..8 walk every (represented, genus-represented, in a
+        # squareclass) triple: bits 0, 1 and 2 of n - 1
+        n = np.arange(9)
+        rep, gen, spec = ((n > 0) & ((n - 1) >> k & 1 == 1) for k in range(3))
+        members = SimpleNamespace(member_mask=lambda: rep)
+        monkeypatch.setattr(cli_verify, "enumerate_represented", lambda form, bound: members)
+        monkeypatch.setattr(cli_verify, "first_failing_prime", lambda r, b: np.where(gen, 0, 2))
+        monkeypatch.setattr(cli_verify, "squareclass_index", lambda s, b: np.where(spec, 0, -1))
+        _, _, _, bad = cli_verify.record_masks(catalog.lookup("B3"), 8)
+        assert not bad[0]
+        for n in range(1, 9):
+            found = inconsistency(rep[n], None if gen[n] else 2, (1, 1) if spec[n] else None)
+            assert bad[n] == (found is not None), (rep[n], gen[n], spec[n])
+        assert int(bad.sum()) == 5
+
     def test_closed_form_only_for_the_two_regular_forms(self):
         assert closed_form_missed_mask("A1", 50) is None
         assert closed_form_missed_mask("B4", 50) is not None
@@ -108,6 +127,20 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "B4", "2")
         assert code == 0
         assert out == "LOCALLY_EXCLUDED, fails at p=2\n"
+
+    # with B3's 3M3 swapped for M1 its findings disagree on 25 (represented
+    # and in M1^2) and on 3 (exceptional yet in no squareclass); exit 1 and
+    # the detail text of the report row, as for any verification mismatch
+    @pytest.mark.parametrize("n, want, status", (
+        (25, "INCONSISTENT, represented, in s=1,t=1\n", 1),
+        (3, "INCONSISTENT, no witness\n", 1),
+        (2, "LOCALLY_EXCLUDED, fails at p=2\n", 0),
+    ))
+    def test_defective_catalog(self, capsys, catalog, tmp_path, n, want, status):
+        path = tmp_path / "bad.txt"
+        path.write_text(dumps(catalog).replace("exceptional 3M3", "exceptional M1"))
+        code, out, err = run(capsys, "--catalog", str(path), "classify", "B3", str(n))
+        assert (code, out, err) == (status, want, "")
 
     def test_unknown_record(self, capsys):
         code, _, err = run(capsys, "classify", "Z9", "1")
@@ -346,27 +379,38 @@ class TestReportCommand:
             "edeaa63c62a79c47461f1e1ecc692df304cc57d45e9e9aefe0cb53b9e12fe0d1"
         )
 
-    def test_rows_match_pointwise_classify(self, capsys, catalog):
+    def test_rows_match_pointwise_classify(self, capsys, catalog, tmp_path):
         # classify decides one n at a time (locally_represented,
-        # squareclass_match, witness), so it checks the bulk verdict order
+        # squareclass_match, witness), so it checks the bulk verdict order;
+        # the edited catalog has rows of three INCONSISTENT details
         bound = 300
-        code, out, _ = run(capsys, "report", "all", "--bound", str(bound))
-        assert code == 0
-        lines = iter(out.splitlines())
-        for rec in catalog.records:
-            assert next(lines).startswith(f"# record {rec.rid} bound={bound} ")
-            rs = enumerate_represented(rec.sgi_forms[0], bound)
-            for n in range(1, bound + 1):
-                got = classify(rec, n, rs)
-                if got.verdict == REPRESENTED:
-                    detail = "({},{},{})".format(*got.witness)
-                elif got.verdict == EXCEPTIONAL:
-                    detail = "s={},t={}".format(*got.matched)
-                else:
-                    assert got.verdict == LOCALLY_EXCLUDED
-                    detail = f"p={got.failing_prime}"
-                assert next(lines) == f"{n}\t{got.verdict}\t{detail}"
-        assert next(lines, None) is None
+        path = tmp_path / "bad.txt"
+        healthy = dumps(catalog)
+        broken = healthy.replace("exceptional 3M3", "exceptional M1 2M1")
+        details = set()
+        for text, status in ((healthy, 0), (broken, 1)):
+            path.write_text(text)
+            code, out, _ = run(capsys, "--catalog", str(path), "report", "all", "--bound", str(bound))
+            assert code == status
+            lines = iter(out.splitlines())
+            for rec in loads(text).records:
+                assert next(lines).startswith(f"# record {rec.rid} bound={bound} ")
+                rs = enumerate_represented(rec.sgi_forms[0], bound)
+                for n in range(1, bound + 1):
+                    got = classify(rec, n, rs)
+                    if got.verdict == REPRESENTED:
+                        detail = "({},{},{})".format(*got.witness)
+                    elif got.verdict == EXCEPTIONAL:
+                        detail = "s={},t={}".format(*got.matched)
+                    elif got.verdict == LOCALLY_EXCLUDED:
+                        detail = f"p={got.failing_prime}"
+                    else:
+                        assert got.verdict == INCONSISTENT
+                        detail = got.detail
+                        details.add(detail)
+                    assert next(lines) == f"{n}\t{got.verdict}\t{detail}"
+            assert next(lines, None) is None
+        assert details == {"represented, in s=1,t=1", "excluded at p=2, in s=2,t=1", "no witness"}
 
     def test_represented_but_excluded_is_inconsistent(self, capsys, monkeypatch):
         real = local_solver.local_mask

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinor_ternary import load_default_catalog
-from spinor_ternary.forms_core import TernaryForm, evaluate
+from spinor_ternary.forms_core import TernaryForm, enumerate_represented, evaluate
 from spinor_ternary.local_solver import (
     LocalSplitting,
     _prim_table,
@@ -212,6 +212,20 @@ class TestGenus:
             assert not mask[0]
             for n in range(1, 301):
                 assert mask[n] == genus_represents(rec, n)
+
+    def test_mask_is_union_of_class_values(self, catalog):
+        # a genus represents n exactly when one of its classes does, so the
+        # local solver must agree with enumerating every sgi and sgii form
+        bound = 10000
+        forms = 0
+        for rec in catalog.records:
+            union = np.zeros(bound + 1, dtype=bool)
+            for form in rec.all_forms():
+                union |= enumerate_represented(form, bound).member_mask()
+                forms += 1
+            mismatches = np.flatnonzero(union[1:] != genus_mask(rec, bound)[1:]) + 1
+            assert mismatches.size == 0, (rec.rid, mismatches[:10])
+        assert forms == 81
 
 
 class TestSplittingForms:

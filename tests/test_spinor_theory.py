@@ -132,6 +132,17 @@ class TestGeneralCriterion:
                 ), (rid, n)
 
 
+class TestSpinorRegular:
+    @pytest.mark.parametrize("rid", ("B4", "B11"))
+    def test_first_form_takes_every_value_of_the_second(self, catalog, rid):
+        # the first sgi form is spinor regular: it represents every n that
+        # another class of its spinor genus represents
+        rec = catalog.lookup(rid)
+        assert len(rec.sgi_forms) == 2
+        first, second = (enumerate_represented(f, 50000).member_mask() for f in rec.sgi_forms)
+        assert not (second & ~first).any()
+
+
 class TestClassify:
     def test_three_verdicts(self, catalog):
         rec = catalog.lookup("B4")
