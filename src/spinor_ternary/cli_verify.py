@@ -115,10 +115,15 @@ def squareclass_mask(spec, bound: int) -> np.ndarray:
     return squareclass_index(spec, bound) >= 0
 
 
-def _even_order_candidates(rec: GenusRecord, bound: int) -> np.ndarray:
-    """mask[n] for 0 <= n <= bound: every prime outside the ramified ones
-    divides n to an even power, i.e. n = r*m^2 with r a product of
-    ramified primes and m prime to all of them."""
+def exceptional_general_mask(rec: GenusRecord, bound: int, genus: np.ndarray) -> np.ndarray:
+    """Spinor-exceptional verdicts of the general criterion on the
+    genus-represented n (`genus`), decided once per ramified part r.  Its
+    even-order clause rejects every n but r*m^2, m prime to the ramified
+    primes.  There m^2 is a p-adic unit square at each ramified p, so the
+    Hilbert symbols, the squareness of -n*delta and ord_p(n) are r's; and at
+    q | m, -r*delta*m^2 is a q-adic square exactly when -r*delta is.  So one
+    call, on the least genus-represented r*m^2 whose every q | m has -r*delta
+    square in Q_q, decides all of those; every other r*m^2 fails."""
     ram = rec.ramified_primes()
     rs = [1]
     for p in ram:
@@ -128,22 +133,23 @@ def _even_order_candidates(rec: GenusRecord, bound: int) -> np.ndarray:
                 powers.append(r)
                 r *= p
         rs = powers
+    root = math.isqrt(bound)
+    sieve = np.arange(root + 1) > 1
+    for q in range(2, math.isqrt(root) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    primes = np.flatnonzero(sieve)
     out = np.zeros(bound + 1, dtype=bool)
     for r in rs:
-        m = np.arange(1, math.isqrt(bound // r) + 1)
-        for p in ram:
-            m = m[m % p != 0]
-        out[r * m * m] = True
-    return out
-
-
-def exceptional_general_mask(rec: GenusRecord, bound: int, genus: np.ndarray) -> np.ndarray:
-    """Spinor-exceptional verdicts from the general criterion, evaluated
-    pointwise on the genus-represented integers (`genus`) that pass its
-    even-order clause; the criterion rejects every other n at that clause."""
-    out = np.zeros(bound + 1, dtype=bool)
-    for n in np.flatnonzero(genus & _even_order_candidates(rec, bound)):
-        out[n] = spinor_exceptional_general(rec, int(n))
+        mmax = math.isqrt(bound // r)
+        keep = np.arange(mmax + 1) > 0
+        for q in primes[primes <= mmax].tolist():
+            if q in ram or not is_padic_square(q, -r * rec.delta):
+                keep[q::q] = False
+        n = r * np.flatnonzero(keep) ** 2
+        n = n[genus[n]]
+        if n.size and spinor_exceptional_general(rec, int(n[0])):
+            out[n] = True
     return out
 
 

@@ -72,9 +72,10 @@ class TestMasks:
                 assert order[idx[n]] == squareclass_match(order, n) == order[0]
             assert order[idx[1]] == (1, 1)
 
-    # a bound that is itself a candidate r*m^2 (1, 2, 48 = 3 * 4^2) catches
-    # an off-by-one in the range of m; 1 is an exceptional integer of A1
-    @pytest.mark.parametrize("bound", (1, 2, 48, 3000))
+    # a bound that is itself a candidate r*m^2 (1, 2, 48 = 3 * 4^2, and
+    # 49, 121, 169 with m a prime at the top of its range) catches an
+    # off-by-one in the range of m; 1 is an exceptional integer of A1
+    @pytest.mark.parametrize("bound", (1, 2, 48, 49, 121, 169, 3000))
     def test_criterion_mask_matches_pointwise(self, catalog, bound):
         for rec in catalog.records:
             mask = exceptional_general_mask(rec, bound, genus_mask(rec, bound))
@@ -84,6 +85,49 @@ class TestMasks:
                 # raise) on every n, genus-represented or not
                 want = spinor_exceptional_general(rec, n) and genus_represents(rec, n)
                 assert mask[n] == want, (rec.rid, n)
+
+    def test_criterion_mask_matches_oracle(self, catalog):
+        # at 5e4 the ramified parts r of n = r*m^2 reach high powers; the
+        # candidates are found here from n alone: strip the ramified primes
+        # and require a perfect square
+        bound = 50000
+        for rec in catalog.records:
+            gen = genus_mask(rec, bound)
+            mask = exceptional_general_mask(rec, bound, gen)
+            core = np.arange(bound + 1)
+            for p in rec.ramified_primes():
+                while (hit := (core % p == 0) & (core > 0)).any():
+                    core[hit] //= p
+            root = np.rint(np.sqrt(core)).astype(np.int64)
+            cand = gen & (root * root == core)
+            assert not mask[~cand].any(), rec.rid
+            for n in np.flatnonzero(cand).tolist():
+                assert mask[n] == spinor_exceptional_general(rec, n), (rec.rid, n)
+
+    def test_criterion_once_per_ramified_part(self, catalog, monkeypatch):
+        # the criterion's verdict depends on n = r*m^2 only through r and the
+        # primes of m, so verify calls it at most once per ramified part r
+        def ramified_parts(primes, bound):
+            if not primes:
+                return 1
+            count, pk = 0, 1
+            while pk <= bound:
+                count += ramified_parts(primes[1:], bound // pk)
+                pk *= primes[0]
+            return count
+
+        calls = []
+        criterion = cli_verify.spinor_exceptional_general
+
+        def counted(rec, n):
+            calls.append(n)
+            return criterion(rec, n)
+
+        monkeypatch.setattr(cli_verify, "spinor_exceptional_general", counted)
+        for rec in catalog.records:
+            calls.clear()
+            assert verify_record(rec, 10000).passed
+            assert 0 < len(calls) <= ramified_parts(rec.ramified_primes(), 10000), rec.rid
 
     def test_bulk_bad_is_the_shared_rule(self, catalog, monkeypatch):
         # n = 1..8 walk every (represented, genus-represented, in a
