@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .arith import is_padic_square
-from .forms_core import TernaryForm, discriminant, is_positive_definite
+from .forms_core import TernaryForm, is_positive_definite
 from .local_solver import LocalSplitting
 from .spinor_theory import OddBoundType, normgroup_is_closed
 
@@ -286,10 +286,11 @@ def _validate(catalog: CatalogFile) -> None:
         for form in rec.all_forms():
             if not is_positive_definite(form):
                 raise CatalogError(f"record {rec.rid}: {form} not positive definite")
-            if discriminant(form) != rec.delta:
+            # det(M_F) = 2*discriminant, and it is even for every integral form
+            if form.gram_det() != 2 * rec.delta:
                 raise CatalogError(
                     f"record {rec.rid}: {form} has discriminant "
-                    f"{discriminant(form)}, expected {rec.delta}"
+                    f"{form.gram_det() // 2}, expected {rec.delta}"
                 )
         ram = {p for p in (2, 3, 5, 7, 11, 13) if (2 * rec.delta) % p == 0}
         leftover = 2 * rec.delta

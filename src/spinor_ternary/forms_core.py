@@ -109,12 +109,8 @@ def evaluate(form: TernaryForm, v: tuple[int, int, int]) -> int:
 
 
 def is_positive_definite(form: TernaryForm) -> bool:
-    """Sylvester test on the leading principal minors of M_F."""
-    m = form.gram_doubled()
-    m1 = m[0][0]
-    m2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    m3 = form.gram_det()
-    return m1 > 0 and m2 > 0 and m3 > 0
+    """Sylvester test on the leading principal minors 2a, 4ab - f^2, det(M_F)."""
+    return form.a > 0 and 4 * form.a * form.b - form.f * form.f > 0 and form.gram_det() > 0
 
 
 def discriminant(form: TernaryForm) -> int:

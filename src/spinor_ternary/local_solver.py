@@ -8,7 +8,10 @@ class therefore has gradient order at least d - 1 for every lift, and it
 is decided exactly when some gradient entry is nonzero mod p^d, i.e. its
 gradient order is exactly d - 1.  Its value set is then F(v) + p^(2d-1) Z_p:
 the class either certifies a Hensel lift or is dead, and the verdict is
-final.  Splitting cannot continue past the largest elementary divisor of
+final.  Decided classes of a level with one residue F(v) mod p^(2d-1) accept
+the same targets, so a level stores the sorted residues and, for each, the
+first such class in lift order: the class a scan of them all would find.
+Splitting cannot continue past the largest elementary divisor of
 M_F, so the tree is finite and the procedure is complete: a target n is
 represented iff some scaled class p^j * v accepts n / p^(2j).
 
@@ -165,33 +168,44 @@ def _smith_e3(form: TernaryForm, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _class_tree(form: TernaryForm, p: int):
-    """All determined primitive classes of form over Z_p.
+    """All determined primitive classes of form over Z_p, one per value
+    residue.
 
-    Returns (levels, e3) where levels is a list of (d, V, vals): class
-    representatives V mod p^d and values F(V).  A level-d class is a lift
-    v + p^(d-1) w of a class whose gradient vanished mod p^(d-1), so its
-    gradient order is at least d - 1, and it is decided exactly when that
-    order is d - 1; the value set of row i is vals[i] + p^(2d-1) Z_p.
+    Returns (levels, e3) where levels is a list of (d, V, vals).  A level-d
+    class is a lift v + p^(d-1) w of a class whose gradient vanished mod
+    p^(d-1), so its gradient order is at least d - 1, and it is decided
+    exactly when that order is d - 1; its value set is F(v) + p^(2d-1) Z_p.
+    Decided classes with the same residue F(v) mod p^(2d-1) accept the same
+    targets, so a level keeps only the first of them in lift order: vals
+    holds the distinct residues in increasing order and V[i], known mod p^d,
+    is the first decided class whose residue is vals[i].
     """
-    mat = np.array(form.gram_doubled(), dtype=np.int64)
+    m = form.gram_doubled()
     e3 = _smith_e3(form, p)
-    offs = np.stack(
-        np.meshgrid(np.arange(p), np.arange(p), np.arange(p), indexing="ij"), axis=-1
-    ).reshape(-1, 3).astype(np.int64)
-    v = offs[1:]  # primitive classes mod p: drop the zero vector
+    r = np.arange(p, dtype=np.int64)
+    offs = [a.ravel() for a in np.meshgrid(r, r, r, indexing="ij")]
+    v = [a[1:] for a in offs]  # primitive classes mod p: drop the zero vector
     levels = []
     d = 1
-    while v.shape[0]:
+    while v[0].size:
         if d > e3 + 1:
             raise AssertionError(f"class splitting past elementary divisor bound at {form}, p={p}")
-        grad = v @ mat
-        det_mask = (grad % p**d != 0).any(axis=1)
-        if det_mask.any():
-            vals = (v[det_mask] * grad[det_mask]).sum(axis=1) // 2
-            levels.append((d, v[det_mask], vals))
-        v = v[~det_mask]
-        if v.shape[0]:
-            v = (v[:, None, :] + p**d * offs[None, :, :]).reshape(-1, 3)
+        grad = [m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2] for i in range(3)]
+        decided = (grad[0] % p**d != 0) | (grad[1] % p**d != 0) | (grad[2] % p**d != 0)
+        rows = np.flatnonzero(decided)
+        if rows.size:
+            mod = p ** (2 * d - 1)
+            res = (v[0][rows] * grad[0][rows] + v[1][rows] * grad[1][rows]
+                   + v[2][rows] * grad[2][rows]) // 2 % mod
+            # the first decided row of each residue, without sorting
+            first = np.full(mod, rows.size)
+            np.minimum.at(first, res, np.arange(rows.size))
+            vals = np.flatnonzero(first < rows.size)
+            keep = rows[first[vals]]
+            levels.append((d, np.stack([a[keep] for a in v], axis=1), vals))
+        v = [a[~decided] for a in v]
+        if v[0].size:
+            v = [(a[:, None] + p**d * o[None, :]).ravel() for a, o in zip(v, offs)]
         d += 1
     return levels, e3
 
@@ -205,22 +219,23 @@ def _prim_table(form: TernaryForm, p: int) -> tuple[int, np.ndarray]:
     table = np.zeros(size, dtype=bool)
     for d, _v, vals in levels:
         mod = p ** (2 * d - 1)
-        table.reshape(size // mod, mod)[:, np.unique(vals % mod)] = True
+        table.reshape(size // mod, mod)[:, vals] = True
     table.setflags(write=False)
     return j, table
 
 
 def _prim_witness(form: TernaryForm, p: int, m: int):
     """First determined class accepting m; (v, d) or None.  The class's
-    gradient order is d - 1."""
-    levels, e3 = _class_tree(form, p)
-    # every class modulus p^(2d-1) divides p^(2*e3+1); reducing here keeps
-    # the numpy arithmetic below in int64 for any m
-    m %= p ** (2 * e3 + 1)
+    gradient order is d - 1.  A level keeps one class per residue, the
+    first in lift order, so the class found is the one a scan of every
+    decided class of the level would find first."""
+    levels, _e3 = _class_tree(form, p)
     for d, v, vals in levels:
-        idx = np.flatnonzero((vals - m) % p ** (2 * d - 1) == 0)
-        if idx.size:
-            return tuple(int(t) for t in v[idx[0]]), d
+        # a Python int below p^(2d-1), so any m is exact
+        r = m % p ** (2 * d - 1)
+        i = int(np.searchsorted(vals, r))
+        if i < vals.size and vals[i] == r:
+            return tuple(int(t) for t in v[i]), d
     return None
 
 

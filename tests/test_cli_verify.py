@@ -550,6 +550,32 @@ class TestCatalogPlumbing:
         assert exc.value.code == 2
 
 
+class TestRepeatedMain:
+    def test_calls_share_no_state(self, capsys, catalog, tmp_path, monkeypatch):
+        # successive calls of main in one process, as the benchmark makes them
+        path = tmp_path / "bad.txt"
+        path.write_text(dumps(catalog).replace("exceptional 3M3", "exceptional M1"))
+        assert run(capsys, "--catalog", str(path), "classify", "B3", "25") == (
+            1, "INCONSISTENT, represented, in s=1,t=1\n", ""
+        )
+        # no --catalog now: the embedded catalog, where B3 represents 25
+        assert run(capsys, "classify", "B3", "25") == (0, "REPRESENTED (2,1,-1)\n", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "A1", "--jobs", "two"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        jobs = []
+        real = cli_verify.verify_records
+
+        def spy(records, bound, jobs_=1):
+            jobs.append(jobs_)
+            return real(records, bound, jobs_)
+
+        monkeypatch.setattr(cli_verify, "verify_records", spy)
+        code, out, _ = run(capsys, "verify", "A1", "--bound", "100")
+        assert code == 0 and out.startswith("A1 bound=100 ") and jobs == [1]
+
+
 class TestVerifyRecordCounts:
     def test_partition_sums_to_bound(self, catalog):
         rep = verify_record(catalog.lookup("A1"), 500)

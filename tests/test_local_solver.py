@@ -2,6 +2,8 @@
 congruence shortcuts for the three special local structures, and genus
 membership assembled from them."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from spinor_ternary import load_default_catalog
 from spinor_ternary.forms_core import TernaryForm, enumerate_represented, evaluate
 from spinor_ternary.local_solver import (
     LocalSplitting,
+    _class_tree,
     _prim_table,
     genus_mask,
     genus_represents,
@@ -148,6 +151,45 @@ class TestLocalRepresents:
             assert lemma72_excluded(n) == (not locally_represented(B11, 2, n))
             assert lemma73_excluded(n) == (not locally_represented(B4, 3, n))
             assert lemma73_excluded(n) == (not locally_represented(B11, 3, n))
+
+
+class TestClassTree:
+    def test_one_decided_class_per_residue(self):
+        rows = 0
+        for form, p in RAMIFIED:
+            a, b, c, d_, e, f = form.coeffs()
+            mat = np.array(form.gram_doubled(), dtype=np.int64)
+            for d, v, vals in _class_tree(form, p)[0]:
+                mod = p ** (2 * d - 1)
+                # strictly increasing residues: one row per residue
+                assert (np.diff(vals) > 0).all() and 0 <= vals[0] and vals[-1] < mod, (form, p, d)
+                x, y, z = v.T
+                values = a * x * x + b * y * y + c * z * z + d_ * y * z + e * x * z + f * x * y
+                assert np.array_equal(values % mod, vals), (form, p, d)
+                # gradient order exactly d - 1
+                grad = v @ mat
+                assert (grad % p ** (d - 1) == 0).all(), (form, p, d)
+                assert (grad % p**d != 0).any(axis=1).all(), (form, p, d)
+                rows += vals.size
+        assert rows == 3399
+
+    def test_verdicts_pinned(self):
+        # sha256 of the verdicts before the tree kept one class per residue:
+        # every n to 200, large powers of p times a few units, and n past int64
+        def queries(p):
+            return [
+                *range(1, 201),
+                *(u * p**k for k in (7, 16, 33, 64) for u in (1, 2, 3, 5, 6, 7)),
+                2**63 + 5,
+                2**130 + 1,
+            ]
+
+        text = "\n".join(
+            repr(local_represents(form, p, n)) for form, p in RAMIFIED for n in queries(p)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4181da710fec7d63995b0027577b91df99f2646d52d16ac67da89055a08fac72"
+        )
 
 
 class TestBulkMask:
