@@ -15,6 +15,7 @@ from .catalog import (
     CatalogError,
     CatalogFile,
     GenusRecord,
+    LocalSplitting,
     load_catalog,
     load_default_catalog,
 )
@@ -30,7 +31,6 @@ from .forms_core import (
     is_positive_definite,
 )
 from .local_solver import (
-    LocalSplitting,
     LocalVerdict,
     genus_represents,
     lemma71_excluded,
@@ -46,7 +46,6 @@ from .spinor_theory import (
     LOCALLY_EXCLUDED,
     REPRESENTED,
     Classification,
-    OddBoundType,
     classify,
     congruence_Mt,
     in_Mt,

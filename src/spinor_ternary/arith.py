@@ -14,6 +14,7 @@ __all__ = [
     "factor",
     "legendre",
     "is_padic_square",
+    "normgroup_is_closed",
     "hilbert",
     "in_local_norm_group",
     "is_prime",
@@ -141,6 +142,28 @@ def is_padic_square(p: int, m: int) -> bool:
     if p == 2:
         return u % 8 == 1
     return legendre(u, p) == 1
+
+
+def _sq_class_key(p: int, x: int):
+    v = ord_p(p, x)
+    u = x // p**v
+    if p == 2:
+        return (v % 2, u % 8)
+    return (v % 2, legendre(u, p))
+
+
+def normgroup_is_closed(p: int, gens) -> bool:
+    """The listed representatives contain 1 and form a group modulo
+    p-adic squares."""
+    keys = {_sq_class_key(p, g) for g in gens}
+    if _sq_class_key(p, 1) not in keys or len(keys) != len(set(gens)):
+        return False
+    for va, ua in keys:
+        for vb, ub in keys:
+            prod = ((va + vb) % 2, ua * ub % 8 if p == 2 else ua * ub)
+            if prod not in keys:
+                return False
+    return True
 
 
 def _eps(u: int) -> int:

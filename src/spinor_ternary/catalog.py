@@ -1,6 +1,7 @@
 """Catalog of the 29 genera split into two spinor genera, with per-prime
 local data (Jordan splitting, spinor norm group, order cutoffs) and the
-closed-form exceptional squareclasses.
+closed-form exceptional squareclasses.  `LocalData.cutoff` gives the spinor
+criterion's order cutoff: lambda at 2, the splitting's exponents at odd p.
 
 The on-disk format is line-oriented text: a `version 1` header, then
 blank-line-separated records of `id`/`delta`/`sgi`/`sgii`/`local`/
@@ -14,13 +15,12 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arith import is_padic_square
+from .arith import is_padic_square, normgroup_is_closed
 from .forms_core import TernaryForm, is_positive_definite
-from .local_solver import LocalSplitting
-from .spinor_theory import OddBoundType, normgroup_is_closed
 
 __all__ = [
     "CatalogError",
+    "LocalSplitting",
     "LocalData",
     "GenusRecord",
     "CatalogFile",
@@ -35,10 +35,67 @@ _SUBCASES = {
     "(b)(i)", "(b)(ii)", "(b)(iii)", "(b)(iv)", "(c)(iii)",
     "(i)(alpha)", "(i)(beta)", "(ii)(alpha)", "(ii)(beta)", "(ii)(gamma)",
 }
+# order cutoff at an odd ramified prime, by the splitting's exponent triple
+_ODD_CUTOFFS = {(0, 1, 2): 1, (0, 2, 3): 1, (0, 1, 3): 2}
 
 
 class CatalogError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class LocalSplitting:
+    """Jordan splitting data for L_p: diagonal components (unit, exponent)
+    and, at p = 2, the named binary planes H and A with a scale exponent."""
+
+    p: int
+    components: tuple[tuple, ...]  # ("diag", unit, exp) | ("H", exp) | ("A", exp)
+
+    def dimension(self) -> int:
+        return sum(1 if c[0] == "diag" else 2 for c in self.components)
+
+    def exponents(self) -> list[int]:
+        return [c[-1] for c in self.components]
+
+    def gram_det(self) -> int:
+        """Determinant of the splitting's Gram matrix."""
+        det = 1
+        for c in self.components:
+            if c[0] == "diag":
+                det *= c[1] * self.p ** c[2]
+            elif c[0] == "H":
+                det *= -(4**c[1])
+            else:  # A
+                det *= 3 * 4 ** c[1]
+        return det
+
+    def to_form(self) -> TernaryForm:
+        """A ternary form whose doubled Gram matrix is twice the splitting's
+        Gram matrix, so the form takes exactly the splitting's values."""
+        if self.dimension() != 3:
+            raise ValueError(f"splitting is not ternary: {self.components}")
+        gram = [[0] * 3 for _ in range(3)]
+        i = 0
+        for c in self.components:
+            if c[0] == "diag":
+                gram[i][i] = c[1] * self.p ** c[2]
+                i += 1
+            else:
+                s = 2**c[1]
+                if c[0] == "H":
+                    gram[i][i + 1] = gram[i + 1][i] = s
+                else:
+                    gram[i][i] = gram[i + 1][i + 1] = 2 * s
+                    gram[i][i + 1] = gram[i + 1][i] = s
+                i += 2
+        return TernaryForm(
+            a=gram[0][0],
+            b=gram[1][1],
+            c=gram[2][2],
+            d=2 * gram[1][2],
+            e=2 * gram[0][2],
+            f=2 * gram[0][1],
+        )
 
 
 @dataclass(frozen=True)
@@ -53,10 +110,11 @@ class LocalData:
     scaled: bool = False            # splitting describes the 2-scaled lattice
 
     @property
-    def odd_bound(self) -> OddBoundType | None:
+    def cutoff(self) -> int | None:
+        """The spinor criterion's order cutoff, or None if none is tabulated."""
         if self.p == 2:
-            return None
-        return OddBoundType.from_exponents(self.splitting.exponents())
+            return self.lam
+        return _ODD_CUTOFFS.get(tuple(self.splitting.exponents()))
 
 
 @dataclass(frozen=True)
@@ -132,8 +190,12 @@ def _parse_local(rest: str, where: str) -> LocalData:
     lam = None
     subcase = None
     scaled = False
+    seen = set()
     for tok in toks[1:]:
         key, sep, val = tok.partition("=")
+        if key in seen:
+            raise CatalogError(f"{where}: duplicate {key} on the p={p} local line")
+        seen.add(key)
         if tok == "scaled":
             scaled = True
         elif key == "splitting" and sep:
@@ -179,6 +241,8 @@ def _build_record(lines: list[tuple[int, str]]) -> GenusRecord:
     for lineno, line in lines[1:]:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key == "delta" and delta is not None or key == "exceptional" and exceptional is not None:
+            raise CatalogError(f"{where}: duplicate {key} line")
         if key == "delta":
             delta = _parse_int(rest, "delta", where)
         elif key == "sgi":
@@ -267,7 +331,7 @@ def _validate_local(rec: GenusRecord, data: LocalData) -> None:
     else:
         if data.lam is not None or data.subcase is not None:
             raise CatalogError(f"{where}: lambda/subcase only belong on the p=2 line")
-        if data.odd_bound is None:
+        if data.cutoff is None:
             raise CatalogError(f"{where}: splitting shape {exps} has no order bound")
 
 

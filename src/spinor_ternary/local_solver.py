@@ -30,7 +30,6 @@ from .arith import is_prime, ord_p, sqrt_mod_p
 from .forms_core import TernaryForm, evaluate
 
 __all__ = [
-    "LocalSplitting",
     "LocalVerdict",
     "local_represents",
     "locally_represented",
@@ -44,61 +43,6 @@ __all__ = [
     "lemma73_excluded",
     "verify_certificate",
 ]
-
-
-@dataclass(frozen=True)
-class LocalSplitting:
-    """Jordan splitting data for L_p: diagonal components (unit, exponent)
-    and, at p = 2, the named binary planes H and A with a scale exponent."""
-
-    p: int
-    components: tuple[tuple, ...]  # ("diag", unit, exp) | ("H", exp) | ("A", exp)
-
-    def dimension(self) -> int:
-        return sum(1 if c[0] == "diag" else 2 for c in self.components)
-
-    def exponents(self) -> list[int]:
-        return [c[-1] for c in self.components]
-
-    def gram_det(self) -> int:
-        """Determinant of the splitting's Gram matrix."""
-        det = 1
-        for c in self.components:
-            if c[0] == "diag":
-                det *= c[1] * self.p ** c[2]
-            elif c[0] == "H":
-                det *= -(4**c[1])
-            else:  # A
-                det *= 3 * 4 ** c[1]
-        return det
-
-    def to_form(self) -> TernaryForm:
-        """A ternary form whose doubled Gram matrix is twice the splitting's
-        Gram matrix, so the form takes exactly the splitting's values."""
-        if self.dimension() != 3:
-            raise ValueError(f"splitting is not ternary: {self.components}")
-        gram = [[0] * 3 for _ in range(3)]
-        i = 0
-        for c in self.components:
-            if c[0] == "diag":
-                gram[i][i] = c[1] * self.p ** c[2]
-                i += 1
-            else:
-                s = 2**c[1]
-                if c[0] == "H":
-                    gram[i][i + 1] = gram[i + 1][i] = s
-                else:
-                    gram[i][i] = gram[i + 1][i + 1] = 2 * s
-                    gram[i][i + 1] = gram[i + 1][i] = s
-                i += 2
-        return TernaryForm(
-            a=gram[0][0],
-            b=gram[1][1],
-            c=gram[2][2],
-            d=2 * gram[1][2],
-            e=2 * gram[0][2],
-            f=2 * gram[0][1],
-        )
 
 
 @dataclass(frozen=True)

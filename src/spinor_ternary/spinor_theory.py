@@ -1,21 +1,18 @@
 """Spinor-exceptional integers: the M_t semigroups, squareclass sets
 s*M_t^2, and the full local-conditions criterion assembled from catalog
-data (spinor norm groups, the 2-adic order cutoff, odd-prime order
-bounds from the shape of the local splitting).
+data: the spinor norm groups and the order cutoffs of `LocalData.cutoff`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .arith import factor, in_local_norm_group, is_padic_square, legendre, ord_p
+from .arith import factor, in_local_norm_group, is_padic_square, ord_p
 from .forms_core import RepresentedSet, Witness
 from .local_solver import locally_represented
 
 __all__ = [
-    "OddBoundType",
     "Classification",
     "REPRESENTED",
     "EXCEPTIONAL",
@@ -27,7 +24,6 @@ __all__ = [
     "squareclass_match",
     "spinor_exceptional_general",
     "classify",
-    "normgroup_is_closed",
 ]
 
 REPRESENTED = "REPRESENTED"
@@ -43,26 +39,6 @@ _MT_TABLES = {
     3: (3, frozenset({1})),
     7: (7, frozenset({1, 2, 4})),
 }
-
-
-class OddBoundType(Enum):
-    """Order cutoff at an odd ramified prime, keyed by the splitting's
-    exponent triple."""
-
-    TYPE_1_P_P2 = ((0, 1, 2), 1)
-    TYPE_1_P2_P3 = ((0, 2, 3), 1)
-    TYPE_1_P_P3 = ((0, 1, 3), 2)
-
-    @property
-    def bound(self) -> int:
-        return self.value[1]
-
-    @classmethod
-    def from_exponents(cls, exps: tuple[int, int, int]) -> "OddBoundType | None":
-        for member in cls:
-            if member.value[0] == tuple(exps):
-                return member
-        return None
 
 
 @dataclass(frozen=True)
@@ -117,28 +93,6 @@ def squareclass_match(spec, n: int) -> tuple[int, int] | None:
     return None
 
 
-def _sq_class_key(p: int, x: int):
-    v = ord_p(p, x)
-    u = x // p**v
-    if p == 2:
-        return (v % 2, u % 8)
-    return (v % 2, legendre(u, p))
-
-
-def normgroup_is_closed(p: int, gens) -> bool:
-    """The listed representatives contain 1 and form a group modulo
-    p-adic squares."""
-    keys = {_sq_class_key(p, g) for g in gens}
-    if _sq_class_key(p, 1) not in keys or len(keys) != len(set(gens)):
-        return False
-    for va, ua in keys:
-        for vb, ub in keys:
-            prod = ((va + vb) % 2, ua * ub % 8 if p == 2 else ua * ub)
-            if prod not in keys:
-                return False
-    return True
-
-
 def spinor_exceptional_general(record, n: int) -> bool:
     """Full criterion for a genus-represented n, which the caller checks (on
     any other n the answer means nothing): n is a spinor exceptional integer
@@ -167,10 +121,7 @@ def spinor_exceptional_general(record, n: int) -> bool:
                 return False
         if is_padic_square(p, -ndelta):
             continue
-        if p == 2:
-            cutoff = data.lam
-        else:
-            cutoff = data.odd_bound.bound if data.odd_bound else None
+        cutoff = data.cutoff
         if cutoff is None:
             # unreachable for catalog data: reaching here with no cutoff
             # would need -n*delta a 2-adic non-square surviving the norm

@@ -1,8 +1,12 @@
 """Catalog parsing, validation, serialization, and the consistency of the
 stored local data with the generic Z_p solver."""
 
+import math
+import re
+
 import pytest
 
+from spinor_ternary.arith import ord_p
 from spinor_ternary.catalog import (
     CatalogError,
     dumps,
@@ -18,6 +22,26 @@ def doctored(catalog, old: str, new: str) -> str:
     text = dumps(catalog)
     assert old in text, f"edit target {old!r} not present"
     return text.replace(old, new, 1)
+
+
+def odd_exponent_mismatches(catalog) -> list[tuple[str, int, TernaryForm, list[int]]]:
+    """Every (record, odd p, form, orders) where the p-orders of the
+    elementary divisors of M_F differ from the local line's splitting
+    exponents.  The orders come from the gcd of M_F's entries, the gcd of
+    its 2x2 minors (the adjugate's entries) and det(M_F); at odd p the
+    factor 2 between M_F and the Gram matrix is a unit."""
+    out = []
+    for rec in catalog.records:
+        for p, data in rec.local_data.items():
+            if p == 2:
+                continue
+            for form in rec.all_forms():
+                g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
+                g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
+                orders = [g1, g2 - g1, ord_p(p, form.gram_det()) - g2]
+                if orders != data.splitting.exponents():
+                    out.append((rec.rid, p, form, orders))
+    return out
 
 
 class TestShape:
@@ -71,7 +95,7 @@ class TestShape:
         for rec in catalog.records:
             for p in rec.ramified_primes():
                 if p != 2:
-                    assert rec.local_data[p].odd_bound is not None, (rec.rid, p)
+                    assert rec.local_data[p].cutoff is not None, (rec.rid, p)
 
 
 class TestLookup:
@@ -176,6 +200,72 @@ class TestValidation:
             loads(doctored(catalog, "subcase=(b)(iii)", "subcase=(z)(ix)"))
 
 
+class TestRejectedText:
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2,x",
+             "record A1: invalid literal for int() with base 10: 'x'"),
+            ("local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1 subcase=(b)(iii)",
+             "local", "record A1: empty local line"),
+            ("theta={1,2,5,10}", "theta=1,2,5,10",
+             "record A1: theta wants {..}, got '1,2,5,10'"),
+            (" theta={1,2,5,10}", "", "record A1: local line needs splitting= and theta="),
+            ("exceptional M1\n", "exceptional\n", "record A1: empty exceptional line"),
+            ("id A1\ndelta 64", "delta 64\nid A1", "line 3: record must start with an id line"),
+            ("subcase=(b)(iii)\n", "subcase=(b)(iii)\nlocal 2 splitting=1:0 theta={1}\n",
+             "record A1: duplicate local line for p=2"),
+            ("delta 64\n", "delta 64\ngamma 1\n", "line 5: unknown key 'gamma'"),
+            ("delta 64\n", "", "record A1: missing delta or exceptional line"),
+            (None, "# only comments\n", "missing version header"),
+            ("splitting=1:0,1:0,1:4", "splitting=1:0,1:4",
+             "record A1, p=2: splitting dimension 2 != 3"),
+            ("splitting=1:0,1:0,1:4", "splitting=1:0,1:4,1:0",
+             "record A1, p=2: splitting exponents not nondecreasing"),
+            ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=H:0,1:2",
+             "record B1, p=3: H-plane only makes sense at p=2"),
+            ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} scaled",
+             "record B1, p=3: scaled flag only applies at p=2"),
+            ("subcase=(b)(iii)\n", "subcase=(b)(iii) scaled\n",
+             "record A1, p=2: scaled flag inconsistent with the form"),
+            ("splitting=1:0,1:0,1:4", "splitting=1:0,3:0,1:4",
+             "record A1, p=2: splitting determinant in the wrong squareclass"),
+            (" lambda=1 ", " lambda=0 ", "record A1, p=2: lambda must be >= 1"),
+            ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} lambda=1",
+             "record B1, p=3: lambda/subcase only belong on the p=2 line"),
+            ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:0,1:0,1:3",
+             "record B1, p=3: splitting shape [0, 0, 3] has no order bound"),
+            ("id B7", "id A14", "group counts off: {'A': 14, 'B': 11, 'C': 4}"),
+            ("sgii 1,1,16,0,0,0\n", "", "record A1: both spinor genera need forms"),
+            ("sgi 2,2,5,2,2,0", "sgi -2,2,5,2,2,0",
+             f"record A1: {TernaryForm(-2, 2, 5, 2, 2, 0)} not positive definite"),
+            ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0", "delta 68\nsgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
+             "record A1: delta has large prime factors"),
+            ("local 3 splitting=1:0,1:1,1:2 theta={1,3}\n", "",
+             "record B1: local data for [2], ramified primes are [2, 3]"),
+            ("exceptional M1\n", "exceptional M5\n", "record A1: squareclass with t=5"),
+            ("exceptional M1\n", "exceptional 5M1\n", "record A1: suspicious scale s=5"),
+            # a line or local-line key given twice
+            ("delta 324\n", "delta 324\ndelta 324\n", "record B3: duplicate delta line"),
+            ("exceptional 3M3\n", "exceptional 3M3\nexceptional M3\n",
+             "record B3: duplicate exceptional line"),
+            ("splitting=1:0,1:0,1:4", "splitting=1:0,1:0,1:4 splitting=1:0,1:0,1:4",
+             "record A1: duplicate splitting on the p=2 local line"),
+            ("theta={1,2,5,10}", "theta={1,2,5,10} theta={1,5}",
+             "record A1: duplicate theta on the p=2 local line"),
+            (" lambda=1 ", " lambda=1 lambda=2 ", "record A1: duplicate lambda on the p=2 local line"),
+            ("subcase=(b)(iii)", "subcase=(b)(iii) subcase=(b)(i)",
+             "record A1: duplicate subcase on the p=2 local line"),
+            ("subcase=(ii)(beta) scaled", "subcase=(ii)(beta) scaled scaled",
+             "record B1: duplicate scaled on the p=2 local line"),
+        ],
+    )
+    def test_message(self, catalog, old, new, message):
+        text = new if old is None else doctored(catalog, old, new)
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            loads(text)
+
+
 class TestLocalDataConsistency:
     def test_splitting_values_match_solver(self, catalog):
         # the stored Jordan splitting must predict the same local
@@ -190,6 +280,26 @@ class TestLocalDataConsistency:
                     assert locally_represented(form, p, n) == locally_represented(
                         split_form, p, mult * n
                     ), (rec.rid, p, n)
+
+    def test_odd_exponents_match_elementary_divisors(self, catalog):
+        # checked here rather than at load: it would add about a quarter to
+        # every catalog load, and a point query is mostly catalog load
+        odd = [(rec.rid, p) for rec in catalog.records for p in rec.local_data if p != 2]
+        assert len(odd) == 16
+        assert odd_exponent_mismatches(catalog) == []
+
+    @pytest.mark.parametrize(
+        "rid, old, new",
+        [
+            ("B1", "local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:0,1:2,1:3"),
+            ("C1", "local 7 splitting=1:0,1:1,1:2", "local 7 splitting=1:0,1:2,1:3"),
+        ],
+    )
+    def test_odd_exponent_edit_caught(self, catalog, rid, old, new):
+        # the edit keeps the determinant squareclass and the cutoff, so the
+        # catalog still loads; only the elementary divisors tell
+        edited = loads(doctored(catalog, old, new))
+        assert {m[0] for m in odd_exponent_mismatches(edited)} == {rid}
 
     def test_specs_stay_in_known_semigroups(self, catalog):
         for rec in catalog.records:

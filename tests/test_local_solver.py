@@ -10,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinor_ternary import load_default_catalog
+from spinor_ternary.catalog import LocalSplitting
 from spinor_ternary.forms_core import TernaryForm, enumerate_represented, evaluate
 from spinor_ternary.local_solver import (
-    LocalSplitting,
     _class_tree,
     _prim_table,
     genus_mask,

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinor_ternary.arith import normgroup_is_closed
+from spinor_ternary.catalog import LocalData, LocalSplitting
 from spinor_ternary.forms_core import enumerate_represented
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
     LOCALLY_EXCLUDED,
     REPRESENTED,
-    OddBoundType,
     classify,
     congruence_Mt,
     in_Mt,
-    normgroup_is_closed,
     spinor_exceptional_general,
     squareclass_match,
 )
@@ -103,11 +103,16 @@ class TestNormGroupClosure:
 
 
 class TestOddBound:
+    @staticmethod
+    def cutoff(exps):
+        split = LocalSplitting(3, tuple(("diag", 1, e) for e in exps))
+        return LocalData(3, split, (1, 3)).cutoff
+
     def test_exponent_shapes(self):
-        assert OddBoundType.from_exponents((0, 1, 2)).bound == 1
-        assert OddBoundType.from_exponents((0, 2, 3)).bound == 1
-        assert OddBoundType.from_exponents((0, 1, 3)).bound == 2
-        assert OddBoundType.from_exponents((0, 0, 1)) is None
+        assert self.cutoff((0, 1, 2)) == 1
+        assert self.cutoff((0, 2, 3)) == 1
+        assert self.cutoff((0, 1, 3)) == 2
+        assert self.cutoff((0, 0, 1)) is None
 
 
 class TestGeneralCriterion:
