@@ -135,13 +135,7 @@ def is_padic_square(p: int, m: int) -> bool:
     """True iff nonzero m is a square in Q_p."""
     if m == 0:
         raise ValueError("is_padic_square undefined at 0")
-    v = ord_p(p, m)
-    if v % 2:
-        return False
-    u = m // p**v
-    if p == 2:
-        return u % 8 == 1
-    return legendre(u, p) == 1
+    return _sq_class_key(p, m) == (0, 1)
 
 
 def _sq_class_key(p: int, x: int):

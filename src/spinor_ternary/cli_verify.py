@@ -117,13 +117,14 @@ def squareclass_mask(spec, bound: int) -> np.ndarray:
 
 def exceptional_general_mask(rec: GenusRecord, bound: int, genus: np.ndarray) -> np.ndarray:
     """Spinor-exceptional verdicts of the general criterion on the
-    genus-represented n (`genus`), decided once per ramified part r.  Its
-    even-order clause rejects every n but r*m^2, m prime to the ramified
-    primes.  There m^2 is a p-adic unit square at each ramified p, so the
-    Hilbert symbols, the squareness of -n*delta and ord_p(n) are r's; and at
-    q | m, -r*delta*m^2 is a q-adic square exactly when -r*delta is.  So one
-    call, on the least genus-represented r*m^2 whose every q | m has -r*delta
-    square in Q_q, decides all of those; every other r*m^2 fails."""
+    genus-represented n (`genus`): decide each ramified part r, then sieve m.
+    The criterion's even-order clause rejects every n but r*m^2, r a product
+    of ramified primes and m prime to them.  There m^2 is a p-adic unit
+    square at each ramified p, so r*m^2 has r's local representability
+    (`genus`), Hilbert symbols, squareness of -n*delta and ord_p; and at
+    q | m, -r*delta*m^2 is a q-adic square exactly when -r*delta is.  So
+    r*m^2 is exceptional exactly when r is and every q | m has -r*delta
+    square in Q_q."""
     ram = rec.ramified_primes()
     rs = [1]
     for p in ram:
@@ -141,15 +142,14 @@ def exceptional_general_mask(rec: GenusRecord, bound: int, genus: np.ndarray) ->
     primes = np.flatnonzero(sieve)
     out = np.zeros(bound + 1, dtype=bool)
     for r in rs:
+        if not genus[r] or not spinor_exceptional_general(rec, r):
+            continue
         mmax = math.isqrt(bound // r)
         keep = np.arange(mmax + 1) > 0
         for q in primes[primes <= mmax].tolist():
             if q in ram or not is_padic_square(q, -r * rec.delta):
                 keep[q::q] = False
-        n = r * np.flatnonzero(keep) ** 2
-        n = n[genus[n]]
-        if n.size and spinor_exceptional_general(rec, int(n[0])):
-            out[n] = True
+        out[r * np.flatnonzero(keep) ** 2] = True
     return out
 
 

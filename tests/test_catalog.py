@@ -16,6 +16,9 @@ from spinor_ternary.catalog import (
 from spinor_ternary.forms_core import TernaryForm
 from spinor_ternary.local_solver import locally_represented
 
+# (2^61 - 1)(2^89 - 1), both Mersenne primes
+_SEMIPRIME = (2**61 - 1) * (2**89 - 1)
+
 
 def doctored(catalog, old: str, new: str) -> str:
     """Default catalog text with one targeted edit."""
@@ -240,6 +243,11 @@ class TestRejectedText:
             ("sgi 2,2,5,2,2,0", "sgi -2,2,5,2,2,0",
              f"record A1: {TernaryForm(-2, 2, 5, 2, 2, 0)} not positive definite"),
             ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0", "delta 68\nsgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
+             "record A1: delta has large prime factors"),
+            # a product of two primes above 2^60, which factor's Pollard rho
+            # would take most of an hour to split
+            ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
+             f"delta {4 * _SEMIPRIME}\nsgi 1,1,{_SEMIPRIME},0,0,0\nsgii 1,1,{_SEMIPRIME},0,0,0",
              "record A1: delta has large prime factors"),
             ("local 3 splitting=1:0,1:1,1:2 theta={1,3}\n", "",
              "record B1: local data for [2], ramified primes are [2, 3]"),

@@ -3,6 +3,7 @@ congruence shortcuts for the three special local structures, and genus
 membership assembled from them."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -268,6 +269,22 @@ class TestGenus:
             mismatches = np.flatnonzero(union[1:] != genus_mask(rec, bound)[1:]) + 1
             assert mismatches.size == 0, (rec.rid, mismatches[:10])
         assert forms == 81
+
+    def test_unit_square_keeps_genus_membership(self, catalog):
+        # m prime to the ramified primes makes m^2 a p-adic unit square at
+        # each of them, so r*m^2 is genus-represented exactly when r is:
+        # route 3 reads the genus mask only at the ramified parts r
+        bound = 50000
+        for rec in catalog.records:
+            mask = genus_mask(rec, bound)
+            ram = rec.ramified_primes()
+            parts = [1]
+            for p in ram:
+                parts = [r * p**k for r in parts for k in range(bound.bit_length()) if r * p**k <= bound]
+            for r in parts:
+                m = np.arange(1, math.isqrt(bound // r) + 1)
+                m = m[np.gcd(m, math.prod(ram)) == 1]
+                assert (mask[r * m * m] == mask[r]).all(), (rec.rid, r)
 
 
 class TestSplittingForms:
