@@ -3,7 +3,8 @@ exhaustive represented-set enumeration with witnesses.
 
 The enumeration is cross-checked against a brute-force cube scan whose
 coordinate box comes from a floating-point eigenvalue bound, so the two
-routes share no search logic.
+routes share no search logic, and its keys against a one-slice-per-pass
+int64 scan of the same box, the reference for the blocked int32 scan.
 """
 
 import math
@@ -44,6 +45,24 @@ def brute_least_vectors(form: TernaryForm, bound: int) -> dict[int, tuple[int, i
     for idx in np.flatnonzero((vals >= 1) & (vals <= bound)):
         least.setdefault(int(vals.flat[idx]), (int(x.flat[idx]), int(y.flat[idx]), int(z.flat[idx])))
     return least
+
+
+def slice_scan_keys(form: TernaryForm, bound: int) -> np.ndarray:
+    """enumerate_represented's key array, by one int64 numpy pass per x
+    slice over the same box."""
+    adj, det = form.gram_adjugate(), form.gram_det()
+    x1, x2, x3 = (math.isqrt(2 * bound * adj[i][i] // det) for i in range(3))
+    a, b, c, d, e, f = form.coeffs()
+    key = np.full(bound + 1, np.iinfo(np.int64).max, dtype=np.int64)
+    ys = np.arange(-x2, x2 + 1, dtype=np.int64)
+    zs = np.arange(-x3, x3 + 1, dtype=np.int64)
+    col = (b * ys * ys)[:, None] + d * ys[:, None] * zs[None, :] + (c * zs * zs)[None, :]
+    for x in range(x1 + 1):
+        vals = col + (a * x * x + (f * x) * ys)[:, None] + ((e * x) * zs)[None, :]
+        flat = vals.ravel()
+        pos = np.flatnonzero((flat >= 1) & (flat <= bound))
+        np.minimum.at(key, flat[pos], x * flat.size + pos)
+    return key
 
 
 class TestEvaluate:
@@ -174,3 +193,26 @@ class TestEnumeration:
                 want[list(least)] = True
                 assert np.array_equal(rs.member_mask(), want), (rec.rid, form)
                 assert {n: tuple(rs.witness(n)) for n in least} == least, (rec.rid, form)
+
+    @pytest.mark.parametrize("bound", (1, 2, 3, 48, 121, 1000, 5000))
+    def test_keys_match_slice_scan_on_catalog_forms(self, catalog, bound):
+        for rec in catalog.records:
+            for form in rec.all_forms():
+                got = enumerate_represented(form, bound)._key
+                assert np.array_equal(got, slice_scan_keys(form, bound)), (rec.rid, form)
+
+    @pytest.mark.parametrize("form, bound", (
+        # A1: one x slice holds more points than a block
+        (TernaryForm(2, 2, 5, 2, 2, 0), 60000),
+        # the box's bound on |F| is about 1.7e10, past int32
+        (TernaryForm(1, 1, 2**28 + 1, 2**15, 0, 0), 16),
+        # a coefficient past int32 on a box that is only x = 0
+        (TernaryForm(2**40, 1, 1, 0, 0, 0), 10),
+    ))
+    def test_keys_match_slice_scan_past_a_block_and_int32(self, form, bound):
+        got = enumerate_represented(form, bound)._key
+        assert np.array_equal(got, slice_scan_keys(form, bound))
+
+    def test_large_coefficient_members(self):
+        rs = enumerate_represented(TernaryForm(2**40, 1, 1, 0, 0, 0), 10)
+        assert np.flatnonzero(rs.member_mask()).tolist() == [1, 2, 4, 5, 8, 9, 10]
