@@ -10,12 +10,12 @@ union that disagrees with the enumeration, first at n = 17.
 import numpy as np
 
 from spinor_ternary import enumerate_represented, load_default_catalog
-from spinor_ternary.cli_verify import squareclass_mask
 from spinor_ternary.local_solver import (
     lemma72_excluded,
     lemma73_excluded,
     local_represents,
 )
+from spinor_ternary.spinor_theory import squareclass_mask
 
 BOUND = 2000
 

@@ -10,7 +10,7 @@ from spinor_ternary import (
     enumerate_represented,
     load_default_catalog,
 )
-from spinor_ternary.cli_verify import squareclass_mask
+from spinor_ternary.spinor_theory import squareclass_mask
 
 import numpy as np
 

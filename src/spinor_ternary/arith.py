@@ -202,15 +202,13 @@ def in_local_norm_group(p: int, gamma: int, n_delta: int) -> bool:
 def sqrt_mod_p(a: int, p: int) -> int | None:
     """A square root of a mod an odd prime p, or None if a is a non-residue.
 
-    Tonelli-Shanks; the p % 4 == 3 case short-circuits.
+    Tonelli-Shanks; for p % 4 == 3 it is a^((p+1)/4), with no loop pass.
     """
     a %= p
     if a == 0:
         return 0
     if legendre(a, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2

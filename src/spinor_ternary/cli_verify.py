@@ -1,5 +1,6 @@
-"""Command line surface: classify single integers, dump local certificates,
-list exceptional integers, emit per-n reports, and run the three-way
+"""The commands and the record engine that reads the three routes over
+0..bound: classify single integers, dump local certificates, list
+exceptional integers, emit per-n reports, and run the three-way
 verification (enumeration vs squareclass spec vs general criterion) over
 the whole catalog.
 
@@ -11,7 +12,6 @@ usage, input and I/O failures and for any unexpected error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,36 +22,26 @@ from time import perf_counter
 
 import numpy as np
 
-from .arith import is_padic_square
-from .catalog import CatalogError, CatalogFile, GenusRecord, dumps, load_catalog, load_default_catalog
+from .catalog import CatalogFile, GenusRecord, dumps, load_catalog, load_default_catalog
 from .forms_core import BoundOverflowError, enumerate_represented
-from .local_solver import (
-    first_failing_prime,
-    lemma71_excluded,
-    lemma72_excluded,
-    lemma73_excluded,
-    local_represents,
-    unramified_shortcut,
-)
+from .local_solver import first_failing_prime, local_represents, unramified_shortcut
 from .spinor_theory import (
     EXCEPTIONAL,
     INCONSISTENT,
     LOCALLY_EXCLUDED,
     REPRESENTED,
     classify,
+    closed_form_missed_mask,
+    exceptional_general_mask,
     inconsistency,
-    spinor_exceptional_general,
+    squareclass_index,
+    squareclass_mask,
 )
 
 DEFAULT_BOUND = 50000
 
 __all__ = [
     "VerificationReport",
-    "mt_mask",
-    "squareclass_index",
-    "squareclass_mask",
-    "exceptional_general_mask",
-    "closed_form_missed_mask",
     "record_masks",
     "verify_record",
     "verify_records",
@@ -81,89 +71,6 @@ class VerificationReport:
             f"exceptional={self.exceptional} locally_excluded={self.locally_excluded} "
             f"mismatches={len(self.mismatches)} {status}"
         )
-
-
-# ------------------------------------------------------------- bulk masks
-
-def mt_mask(t: int, wmax: int) -> np.ndarray:
-    """mask[w] == (w in M_t) for 0 <= w <= wmax (index 0 is False)."""
-    ok = np.ones(wmax + 1, dtype=bool)
-    ok[0] = False
-    sieve = np.ones(wmax + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, wmax + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-            if not is_padic_square(p, -t):
-                ok[p::p] = False
-    return ok
-
-
-def squareclass_index(spec, bound: int) -> np.ndarray:
-    """idx[n] for 0 <= n <= bound: the index in `spec` of the first (s, t)
-    entry with n in s*Mt^2 (as squareclass_match picks it), or -1."""
-    out = np.full(bound + 1, -1, dtype=np.int8)
-    # later entries first, so an earlier entry overwrites them
-    for i, (s, t) in reversed(list(enumerate(spec))):
-        ws = np.flatnonzero(mt_mask(t, math.isqrt(bound // s)))
-        out[s * ws * ws] = i
-    return out
-
-
-def squareclass_mask(spec, bound: int) -> np.ndarray:
-    """mask[n] == (n in some s*Mt^2 squareclass of `spec`) for 0 <= n <= bound."""
-    return squareclass_index(spec, bound) >= 0
-
-
-def exceptional_general_mask(rec: GenusRecord, bound: int, genus: np.ndarray) -> np.ndarray:
-    """Spinor-exceptional verdicts of the general criterion on the
-    genus-represented n (`genus`): decide each ramified part r, then sieve m.
-    The criterion's even-order clause rejects every n but r*m^2, r a product
-    of ramified primes and m prime to them.  There m^2 is a p-adic unit
-    square at each ramified p, so r*m^2 has r's local representability
-    (`genus`), Hilbert symbols, squareness of -n*delta and ord_p; and at
-    q | m, -r*delta*m^2 is a q-adic square exactly when -r*delta is.  So
-    r*m^2 is exceptional exactly when r is and every q | m has -r*delta
-    square in Q_q."""
-    ram = rec.ramified_primes()
-    rs = [1]
-    for p in ram:
-        powers = []
-        for r in rs:
-            while r <= bound:
-                powers.append(r)
-                r *= p
-        rs = powers
-    root = math.isqrt(bound)
-    sieve = np.arange(root + 1) > 1
-    for q in range(2, math.isqrt(root) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    primes = np.flatnonzero(sieve)
-    out = np.zeros(bound + 1, dtype=bool)
-    for r in rs:
-        if not genus[r] or not spinor_exceptional_general(rec, r):
-            continue
-        mmax = math.isqrt(bound // r)
-        keep = np.arange(mmax + 1) > 0
-        for q in primes[primes <= mmax].tolist():
-            if q in ram or not is_padic_square(q, -r * rec.delta):
-                keep[q::q] = False
-        out[r * np.flatnonzero(keep) ** 2] = True
-    return out
-
-
-def closed_form_missed_mask(rid: str, bound: int) -> np.ndarray | None:
-    """For B4 and B11: the non-represented set as congruence classes plus
-    squareclasses, assembled from the per-prime exclusion predicates.
-    None for every other record."""
-    if rid not in ("B4", "B11"):
-        return None
-    n = np.arange(bound + 1)
-    two_adic = lemma71_excluded(n) if rid == "B4" else lemma72_excluded(n)
-    out = two_adic | lemma73_excluded(n) | squareclass_mask(((1, 3), (4, 3)), bound)
-    out[0] = False
-    return out
 
 
 # ------------------------------------------------------------ verification
@@ -397,7 +304,7 @@ def main(argv=None) -> int:
     try:
         catalog = load_catalog(args.catalog) if args.catalog else load_default_catalog()
         return args.func(catalog, args)
-    except (CatalogError, BoundOverflowError, ValueError, OSError) as exc:
+    except (BoundOverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -138,8 +138,7 @@ class RepresentedSet:
     the box has |y| <= x2, |z| <= x3 and rows of nz = 2*x3 + 1 entries.
     """
 
-    def __init__(self, form: TernaryForm, bound: int, key: np.ndarray, box: tuple[int, int, int]):
-        self.form = form
+    def __init__(self, bound: int, key: np.ndarray, box: tuple[int, int, int]):
         self.bound = bound
         self._key = key  # int64, indexed by n, size bound+1
         self._box = box  # (x2, x3, nz)
@@ -201,7 +200,8 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
         + abs(e) * x1 * x3
         + abs(f) * x1 * x2
     )
-    if worst >= _INT64_GUARD or 2 * bound * max(adj_diag) >= _INT64_GUARD:
+    # numpy holds each coefficient too, even where its coordinate is only 0
+    if worst >= _INT64_GUARD or max(map(abs, form.coeffs())) >= _INT64_GUARD:
         raise BoundOverflowError(f"bound {bound} overflows 64-bit intermediates for {form}")
     # every partial sum below is at most worst in absolute value
     dtype = np.int32 if worst <= np.iinfo(np.int32).max else np.int64
@@ -225,4 +225,4 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
         pos = np.flatnonzero(flat <= bound)
         np.minimum.at(key, flat[pos], x0 * slab + pos)
     key[0] = _NO_KEY
-    return RepresentedSet(form, bound, key, (x2, x3, zs.size))
+    return RepresentedSet(bound, key, (x2, x3, zs.size))

@@ -286,13 +286,13 @@ def local_mask(form: TernaryForm, p: int, bound: int) -> np.ndarray:
     if unramified_shortcut(form, p):
         return np.arange(bound + 1) > 0
     # n -> L_p iff n / p^(2j) is primitively represented for some p^(2j) | n:
-    # for each scaling k = p^(2j), the multiples k*m read the table at m
-    j, table = _prim_table(form, p)
-    mod = p**j
+    # for each scaling k = p^(2j), the multiples k*m read the table at
+    # m mod p^J, i.e. the table tiled over 0..bound // k
+    _, table = _prim_table(form, p)
     out = np.zeros(bound + 1, dtype=bool)
     k = 1
     while k <= bound:
-        out[k::k] |= table[np.arange(1, bound // k + 1) % mod]
+        out[k::k] |= np.resize(table, bound // k + 1)[1:]
         k *= p * p
     return out
 

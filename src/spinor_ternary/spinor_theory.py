@@ -1,6 +1,8 @@
-"""Spinor-exceptional integers: the M_t semigroups, squareclass sets
-s*M_t^2, and the full local-conditions criterion assembled from catalog
-data: the spinor norm groups and the order cutoffs of `LocalData.cutoff`.
+"""Spinor-exceptional integers, routes 2 and 3 of the verification, each
+both at one n and over 0..bound: the M_t semigroups and squareclass sets
+s*M_t^2 (route 2), the full local-conditions criterion assembled from
+catalog data, the spinor norm groups and the order cutoffs of
+`LocalData.cutoff` (route 3), and the closed form of what B4 and B11 miss.
 """
 
 from __future__ import annotations
@@ -8,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import factor, in_local_norm_group, is_padic_square, ord_p
 from .forms_core import RepresentedSet, Witness
-from .local_solver import locally_represented
+from .local_solver import lemma71_excluded, lemma72_excluded, lemma73_excluded, locally_represented
 
 __all__ = [
     "Classification",
@@ -20,9 +24,14 @@ __all__ = [
     "INCONSISTENT",
     "inconsistency",
     "in_Mt",
+    "mt_mask",
     "congruence_Mt",
     "squareclass_match",
+    "squareclass_index",
+    "squareclass_mask",
     "spinor_exceptional_general",
+    "exceptional_general_mask",
+    "closed_form_missed_mask",
     "classify",
 ]
 
@@ -71,6 +80,20 @@ def in_Mt(t: int, w: int) -> bool:
     return all(is_padic_square(p, -t) for p, _ in factor(w))
 
 
+def mt_mask(t: int, wmax: int) -> np.ndarray:
+    """mask[w] == (w in M_t) for 0 <= w <= wmax (index 0 is False)."""
+    ok = np.ones(wmax + 1, dtype=bool)
+    ok[0] = False
+    sieve = np.ones(wmax + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, wmax + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+            if not is_padic_square(p, -t):
+                ok[p::p] = False
+    return ok
+
+
 def congruence_Mt(t: int, w: int) -> bool:
     """Independent route to in_Mt through the congruence description of
     the generating primes."""
@@ -91,6 +114,22 @@ def squareclass_match(spec, n: int) -> tuple[int, int] | None:
         if w * w == n // s and in_Mt(t, w):
             return (s, t)
     return None
+
+
+def squareclass_index(spec, bound: int) -> np.ndarray:
+    """idx[n] for 0 <= n <= bound: the index in `spec` of the first (s, t)
+    entry with n in s*Mt^2 (as squareclass_match picks it), or -1."""
+    out = np.full(bound + 1, -1, dtype=np.int8)
+    # later entries first, so an earlier entry overwrites them
+    for i, (s, t) in reversed(list(enumerate(spec))):
+        ws = np.flatnonzero(mt_mask(t, math.isqrt(bound // s)))
+        out[s * ws * ws] = i
+    return out
+
+
+def squareclass_mask(spec, bound: int) -> np.ndarray:
+    """mask[n] == (n in some s*Mt^2 squareclass of `spec`) for 0 <= n <= bound."""
+    return squareclass_index(spec, bound) >= 0
 
 
 def spinor_exceptional_general(record, n: int) -> bool:
@@ -130,6 +169,55 @@ def spinor_exceptional_general(record, n: int) -> bool:
         if ord_p(p, n) > cutoff:
             return False
     return True
+
+
+def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
+    """Spinor-exceptional verdicts of the general criterion on the
+    genus-represented n (`genus`): decide each ramified part r, then sieve m.
+    The criterion's even-order clause rejects every n but r*m^2, r a product
+    of ramified primes and m prime to them.  There m^2 is a p-adic unit
+    square at each ramified p, so r*m^2 has r's local representability
+    (`genus`), Hilbert symbols, squareness of -n*delta and ord_p; and at
+    q | m, -r*delta*m^2 is a q-adic square exactly when -r*delta is.  So
+    r*m^2 is exceptional exactly when r is and every q | m has -r*delta
+    square in Q_q."""
+    ram = rec.ramified_primes()
+    rs = [1]
+    for p in ram:
+        powers = []
+        for r in rs:
+            while r <= bound:
+                powers.append(r)
+                r *= p
+        rs = powers
+    root = math.isqrt(bound)
+    sieve = np.arange(root + 1) > 1
+    for q in range(2, math.isqrt(root) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    primes = np.flatnonzero(sieve)
+    out = np.zeros(bound + 1, dtype=bool)
+    for r in rs:
+        if not genus[r] or not spinor_exceptional_general(rec, r):
+            continue
+        mmax = math.isqrt(bound // r)
+        keep = np.arange(mmax + 1) > 0
+        for q in primes[primes <= mmax].tolist():
+            if q in ram or not is_padic_square(q, -r * rec.delta):
+                keep[q::q] = False
+        out[r * np.flatnonzero(keep) ** 2] = True
+    return out
+
+
+def closed_form_missed_mask(rid: str, bound: int) -> np.ndarray | None:
+    """For B4 and B11: the non-represented set as congruence classes plus
+    squareclasses, assembled from the per-prime exclusion predicates
+    (each False at n = 0).  None for every other record."""
+    if rid not in ("B4", "B11"):
+        return None
+    n = np.arange(bound + 1)
+    two_adic = lemma71_excluded(n) if rid == "B4" else lemma72_excluded(n)
+    return two_adic | lemma73_excluded(n) | squareclass_mask(((1, 3), (4, 3)), bound)
 
 
 def classify(record, n: int, represented: RepresentedSet) -> Classification:

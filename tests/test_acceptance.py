@@ -14,11 +14,6 @@ import numpy as np
 import pytest
 
 from spinor_ternary.arith import factor, hilbert
-from spinor_ternary.cli_verify import (
-    closed_form_missed_mask,
-    exceptional_general_mask,
-    squareclass_mask,
-)
 from spinor_ternary.forms_core import discriminant, enumerate_represented, evaluate
 from spinor_ternary.local_solver import (
     genus_mask,
@@ -29,7 +24,13 @@ from spinor_ternary.local_solver import (
     local_represents,
     verify_certificate,
 )
-from spinor_ternary.spinor_theory import congruence_Mt, in_Mt
+from spinor_ternary.spinor_theory import (
+    closed_form_missed_mask,
+    congruence_Mt,
+    exceptional_general_mask,
+    in_Mt,
+    squareclass_mask,
+)
 
 BOUND = 50000
 

@@ -8,17 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spinor_ternary import cli_verify, local_solver
+from spinor_ternary import cli_verify, local_solver, spinor_theory
 from spinor_ternary.catalog import dumps, loads
-from spinor_ternary.cli_verify import (
-    closed_form_missed_mask,
-    exceptional_general_mask,
-    main,
-    mt_mask,
-    squareclass_index,
-    squareclass_mask,
-    verify_record,
-)
+from spinor_ternary.cli_verify import main, verify_record
 from spinor_ternary.forms_core import enumerate_represented
 from spinor_ternary.local_solver import genus_mask, genus_represents
 from spinor_ternary.spinor_theory import (
@@ -27,9 +19,14 @@ from spinor_ternary.spinor_theory import (
     LOCALLY_EXCLUDED,
     REPRESENTED,
     classify,
+    closed_form_missed_mask,
+    exceptional_general_mask,
     in_Mt,
     inconsistency,
+    mt_mask,
     spinor_exceptional_general,
+    squareclass_index,
+    squareclass_mask,
     squareclass_match,
 )
 
@@ -119,13 +116,13 @@ class TestMasks:
             return parts
 
         calls = []
-        criterion = cli_verify.spinor_exceptional_general
+        criterion = spinor_theory.spinor_exceptional_general
 
         def counted(rec, n):
             calls.append(n)
             return criterion(rec, n)
 
-        monkeypatch.setattr(cli_verify, "spinor_exceptional_general", counted)
+        monkeypatch.setattr(spinor_theory, "spinor_exceptional_general", counted)
         for rec in catalog.records:
             calls.clear()
             assert verify_record(rec, 10000).passed

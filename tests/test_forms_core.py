@@ -181,6 +181,16 @@ class TestEnumeration:
     def test_bound_overflow_guard(self):
         with pytest.raises(BoundOverflowError):
             enumerate_represented(TernaryForm(1, 1, 1, 0, 0, 0), 2**61)
+        # numpy holds each coefficient, even where its coordinate is only 0
+        with pytest.raises(BoundOverflowError):
+            enumerate_represented(TernaryForm(2**70, 1, 1, 0, 0, 0), 10)
+
+    def test_large_coefficients_small_box(self):
+        # 2*bound*adj(M_F)_ii passes 2^62, but the box is 2x3x3 and no value
+        # numpy sees is above 3 * 2^20
+        rs = enumerate_represented(TernaryForm(2**20, 2**20, 2**20, 0, 0, 0), 2**20)
+        assert np.flatnonzero(rs.member_mask()).tolist() == [2**20]
+        assert rs.witness(2**20) == (0, -1, 0)
 
     def test_matches_brute_force_on_catalog_forms(self, catalog):
         bound = 200

@@ -137,6 +137,21 @@ class TestLocalRepresents:
                         val = evaluate(form, v.residue)
                         assert (val - n) % p ** (2 * v.precision + 1) == 0
 
+    def test_unramified_certificates_pinned(self, catalog):
+        # sha256 of the verdicts at primes away from 2*delta, whose
+        # certificates come from the unramified shortcut's square root mod p
+        text = "\n".join(
+            repr(local_represents(rec.sgi_forms[0], p, n))
+            for rec in catalog.records
+            for p in (3, 5, 7, 11, 13, 1000003)
+            if 2 * rec.delta % p
+            for n in (1, 2, 5, 48, 10**12 + 3)
+        )
+        assert text.count("\n") + 1 == 790
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8f7eab8fb73c41f46ca9d828e9588c9dae94e38a53d41d0e6704b9299a6bfe93"
+        )
+
     def test_scaling_by_p_squared(self, catalog):
         for rid in SAMPLE_IDS:
             rec = catalog.lookup(rid)
@@ -237,6 +252,21 @@ class TestBulkMask:
         assert sorted(checked) == sorted(
             (rid, 2) for rid in ("C1", "B5", "B8", "C3", "B1", "B2", "B3", "B6", "B7", "C2")
         )
+
+    def test_tiled_read_matches_indexed_read(self):
+        # past two periods of every table (p^J = 2^19 at the deepest), the
+        # tiled table reads the same bits as table[m mod p^J]
+        assert len(RAMIFIED) == 45
+        for form, p in RAMIFIED:
+            j, table = _prim_table(form, p)
+            mod = p**j
+            bound = 2 * mod + 1
+            want = np.zeros(bound + 1, dtype=bool)
+            k = 1
+            while k <= bound:
+                want[k::k] |= table[np.arange(1, bound // k + 1) % mod]
+                k *= p * p
+            assert np.array_equal(local_mask(form, p, bound), want), (form, p)
 
     def test_unramified_mask_is_all_true(self):
         mask = local_mask(A1, 5, 50)
