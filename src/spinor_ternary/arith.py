@@ -1,6 +1,11 @@
 """Exact prime and p-adic arithmetic: orders, symbols, square tests,
 Hilbert symbols, local norm groups, factorization.
 
+Every p-adic square question reads one decomposition of a class of
+Q_p^*/(Q_p^*)^2, the key `_sq_class_key` (ord mod 2 and the unit class):
+the square test, the norm-group closure and the Hilbert symbol, which
+pairs two keys.
+
 Everything here works on plain Python integers; no floating point.
 """
 
@@ -139,6 +144,8 @@ def is_padic_square(p: int, m: int) -> bool:
 
 
 def _sq_class_key(p: int, x: int):
+    """(ord_p(x) mod 2, u mod 8 at p = 2 or the Legendre symbol of u at odd p)
+    for x = p^ord * u; two nonzero x share a key iff x'/x is a p-adic square."""
     v = ord_p(p, x)
     u = x // p**v
     if p == 2:
@@ -171,31 +178,20 @@ def _omega(u: int) -> int:
 
 
 def hilbert(p: int, a: int, b: int) -> int:
-    """Hilbert symbol (a,b)_p over Q_p, by the unit/exponent closed forms."""
+    """Hilbert symbol (a,b)_p over Q_p, a pairing of the two squareclass keys."""
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    alpha = ord_p(p, a)
-    beta = ord_p(p, b)
-    u = a // p**alpha
-    v = b // p**beta
+    (alpha, u), (beta, v) = _sq_class_key(p, a), _sq_class_key(p, b)
     if p == 2:
         e = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
-        return -1 if e % 2 else 1
-    sign = 1
-    if alpha * beta % 2 and (p - 1) // 2 % 2:
-        sign = -sign
-    if beta % 2:
-        sign *= legendre(u, p)
-    if alpha % 2:
-        sign *= legendre(v, p)
-    return sign
+    else:
+        e = alpha * beta * (p - 1) // 2 + beta * (u < 0) + alpha * (v < 0)
+    return -1 if e % 2 else 1
 
 
 def in_local_norm_group(p: int, gamma: int, n_delta: int) -> bool:
     """True iff gamma is a local norm from Q_p(sqrt(-n_delta)),
     i.e. (gamma, -n_delta)_p = +1."""
-    if gamma == 0 or n_delta == 0:
-        raise ValueError("in_local_norm_group needs nonzero arguments")
     return hilbert(p, gamma, -n_delta) == 1
 
 

@@ -11,11 +11,12 @@ blank-line-separated records of `id`/`delta`/`sgi`/`sgii`/`local`/
 from __future__ import annotations
 
 import importlib.resources
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arith import factor, is_padic_square, normgroup_is_closed
+from .arith import is_padic_square, normgroup_is_closed
 from .forms_core import TernaryForm, is_positive_definite
 
 __all__ = [
@@ -37,6 +38,8 @@ _SUBCASES = {
 }
 # order cutoff at an odd ramified prime, by the splitting's exponent triple
 _ODD_CUTOFFS = {(0, 1, 2): 1, (0, 2, 3): 1, (0, 1, 3): 2}
+# the only primes a catalog discriminant may have
+_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class CatalogError(ValueError):
@@ -356,11 +359,10 @@ def _validate(catalog: CatalogFile) -> None:
                     f"record {rec.rid}: {form} has discriminant "
                     f"{form.gram_det() // 2}, expected {rec.delta}"
                 )
-        # 2*delta has no prime above 13 iff it divides a power of
-        # 2*3*5*7*11*13; tested first, so no large cofactor reaches Pollard rho
-        if pow(30030, (2 * rec.delta).bit_length(), 2 * rec.delta):
+        # 2*delta has no prime above 13 iff it divides a power of 2*3*5*7*11*13
+        if pow(math.prod(_PRIMES), (2 * rec.delta).bit_length(), 2 * rec.delta):
             raise CatalogError(f"record {rec.rid}: delta has large prime factors")
-        ram = {p for p, _ in factor(2 * rec.delta)}
+        ram = {q for q in _PRIMES if 2 * rec.delta % q == 0}
         if set(rec.local_data) != ram:
             raise CatalogError(
                 f"record {rec.rid}: local data for {sorted(rec.local_data)}, "
@@ -371,7 +373,7 @@ def _validate(catalog: CatalogFile) -> None:
         for s, t in rec.exceptional_spec:
             if t not in (1, 2, 3, 7):
                 raise CatalogError(f"record {rec.rid}: squareclass with t={t}")
-            if s < 1 or any(s % q == 0 for q in (5, 7, 11, 13) if q != t):
+            if s < 1 or any(s % q == 0 for q in _PRIMES[2:] if q != t):
                 raise CatalogError(f"record {rec.rid}: suspicious scale s={s}")
 
 

@@ -121,13 +121,11 @@ def is_positive_definite(form: TernaryForm) -> bool:
 
 
 def discriminant(form: TernaryForm) -> int:
-    """Delta = det(M_F) / 2; an integer for integral sextuples."""
+    """Delta = det(M_F) / 2; an integer for integral sextuples, since
+    det(M_F) = 8abc + 2(def - ad^2 - be^2 - cf^2)."""
     if not is_positive_definite(form):
         raise DefinitenessError(f"form {form} is not positive definite")
-    det = form.gram_det()
-    if det % 2:
-        raise DefinitenessError(f"form {form} has odd det(M_F)")
-    return det // 2
+    return form.gram_det() // 2
 
 
 class RepresentedSet:

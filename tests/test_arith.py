@@ -230,6 +230,38 @@ class TestHilbert:
                 for b in (2, 3, 5, -1, -p, p):
                     assert hilbert(p, u, b) == hilbert(p, u + step, b)
 
+    def test_matches_closed_form_reference(self):
+        # every pair with 0 < |a|, |b| <= 60, including a prime above 10^4
+        for p in (*PRIMES, 10007):
+            for a in range(-60, 61):
+                for b in range(-60, 61):
+                    if a and b:
+                        assert hilbert(p, a, b) == hilbert_reference(p, a, b), (p, a, b)
+
+
+def hilbert_reference(p, a, b):
+    """(a,b)_p from the exponents and units, without squareclass keys."""
+    alpha, beta = ord_p(p, a), ord_p(p, b)
+    u, v = a // p**alpha, b // p**beta
+    if p == 2:
+
+        def eps(w):
+            return (w - 1) // 2 % 2
+
+        def omega(w):
+            return (w * w - 1) // 8 % 2
+
+        e = eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)
+        return -1 if e % 2 else 1
+    sign = 1
+    if alpha * beta % 2 and (p - 1) // 2 % 2:
+        sign = -sign
+    if beta % 2:
+        sign *= legendre(u, p)
+    if alpha % 2:
+        sign *= legendre(v, p)
+    return sign
+
 
 class TestLocalNormGroup:
     def test_known_values(self):

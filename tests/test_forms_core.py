@@ -95,6 +95,11 @@ class TestGram:
         det = form.gram_det()
         assert np.array_equal(m @ adj, det * np.eye(3, dtype=object))
 
+    @given(*[st.integers(-10**6, 10**6)] * 6)
+    def test_det_even(self, a, b, c, d, e, f):
+        # det(M_F) = 8abc + 2(def - ad^2 - be^2 - cf^2), so discriminant is exact
+        assert TernaryForm(a, b, c, d, e, f).gram_det() % 2 == 0
+
     def test_gradient(self):
         form = TernaryForm(2, 2, 5, 2, 2, 0)
         # gradient of F at v is M_F v

@@ -2,6 +2,7 @@
 congruence shortcuts for the three special local structures, and genus
 membership assembled from them."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -90,6 +91,18 @@ class TestLocalRepresents:
         v = local_represents(B11, 5, 7)
         assert v.representable and verify_certificate(B11, v)
 
+    def test_tampered_certificates_rejected(self):
+        v = local_represents(B11, 3, 48)
+        assert (v.residue, v.precision, v.grad_ord) == ((0, 0, 1), 1, 1)
+        assert verify_certificate(B11, v)
+        for change in (
+            {"representable": False},
+            {"residue": (0, 0, 2)},  # F = 192, not 48 mod 27
+            {"grad_ord": 0},  # the gradient (0, 0, 96) has order 1 at 3
+            {"precision": 0},  # a gradient order of 1 needs precision >= 1
+        ):
+            assert not verify_certificate(B11, dataclasses.replace(v, **change)), change
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             local_represents(B4, 2, 0)
@@ -140,14 +153,16 @@ class TestLocalRepresents:
     def test_unramified_certificates_pinned(self, catalog):
         # sha256 of the verdicts at primes away from 2*delta, whose
         # certificates come from the unramified shortcut's square root mod p
-        text = "\n".join(
-            repr(local_represents(rec.sgi_forms[0], p, n))
+        cases = [
+            (rec.sgi_forms[0], p, n)
             for rec in catalog.records
             for p in (3, 5, 7, 11, 13, 1000003)
             if 2 * rec.delta % p
             for n in (1, 2, 5, 48, 10**12 + 3)
-        )
-        assert text.count("\n") + 1 == 790
+        ]
+        assert len(cases) == 790
+        assert all(locally_represented(*case) for case in cases)
+        text = "\n".join(repr(local_represents(*case)) for case in cases)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "8f7eab8fb73c41f46ca9d828e9588c9dae94e38a53d41d0e6704b9299a6bfe93"
         )
