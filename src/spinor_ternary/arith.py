@@ -44,13 +44,18 @@ def ord_p(p: int, n: int) -> int:
     return k
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all 13 bases (psi_13)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < 3.3e24 with the fixed bases."""
+    """Miller-Rabin with the 13 prime bases 2..41, deterministic below
+    psi_13 = 3 317 044 064 679 887 385 961 981; larger n raise ValueError."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is not certified at or above {_MR_LIMIT}, got {n}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

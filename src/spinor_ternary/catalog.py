@@ -359,6 +359,11 @@ def _validate(catalog: CatalogFile) -> None:
                     f"record {rec.rid}: {form} has discriminant "
                     f"{form.gram_det() // 2}, expected {rec.delta}"
                 )
+            # a change of basis keeps the checks above but widens the scan
+            # box, so a skewed form would make enumeration crawl
+            a, b, c, d, e, f = form.coeffs()
+            if not (a <= b <= c and abs(f) <= a and abs(e) <= a and abs(d) <= b):
+                raise CatalogError(f"record {rec.rid}: {form} is not reduced")
         # 2*delta has no prime above 13 iff it divides a power of 2*3*5*7*11*13
         if pow(math.prod(_PRIMES), (2 * rec.delta).bit_length(), 2 * rec.delta):
             raise CatalogError(f"record {rec.rid}: delta has large prime factors")

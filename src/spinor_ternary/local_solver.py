@@ -9,14 +9,16 @@ is decided exactly when some gradient entry is nonzero mod p^d, i.e. its
 gradient order is exactly d - 1.  Its value set is then F(v) + p^(2d-1) Z_p:
 the class either certifies a Hensel lift or is dead, and the verdict is
 final.  Decided classes of a level with one residue F(v) mod p^(2d-1) accept
-the same targets, so a level stores the sorted residues and, for each, the
-first such class in lift order: the class a scan of them all would find.
-Splitting cannot continue past the largest elementary divisor of
-M_F, so the tree is finite and the procedure is complete: a target n is
-represented iff some scaled class p^j * v accepts n / p^(2j).
+the same targets, so a level keeps the first such class in lift order: the
+class a scan of them all would find.  Splitting cannot continue past the
+largest elementary divisor of M_F, so the tree is finite and the procedure
+is complete: a target n is represented iff some scaled class p^j * v
+accepts n / p^(2j).
 
-The same class tree, run without a target, yields a congruence table of
-every primitively represented value; bulk queries go through that table.
+The tree is kept as one table per (form, p): its kept classes as rows, the
+level of each row, and, for every residue m mod p^J, the row of the
+shallowest level accepting m (-1 when none does).  Certificates,
+membership and the bulk masks all read that table.
 """
 
 from __future__ import annotations
@@ -112,17 +114,14 @@ def _smith_e3(form: TernaryForm, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _class_tree(form: TernaryForm, p: int):
-    """All determined primitive classes of form over Z_p, one per value
-    residue.
+    """The one table of form over Z_p: (J, first, rows, depth).
 
-    Returns (levels, e3) where levels is a list of (d, V, vals).  A level-d
-    class is a lift v + p^(d-1) w of a class whose gradient vanished mod
-    p^(d-1), so its gradient order is at least d - 1, and it is decided
-    exactly when that order is d - 1; its value set is F(v) + p^(2d-1) Z_p.
-    Decided classes with the same residue F(v) mod p^(2d-1) accept the same
-    targets, so a level keeps only the first of them in lift order: vals
-    holds the distinct residues in increasing order and V[i], known mod p^d,
-    is the first decided class whose residue is vals[i].
+    rows stacks the levels' kept classes in level order, and depth[i] is
+    the level d of rows[i]: known mod p^d, gradient order d - 1, accepting
+    F(rows[i]) + p^(2d-1) Z_p.  Every level's modulus divides p^J, J =
+    2*e3 + 1, and first[m mod p^J] is the row of the shallowest level
+    accepting m >= 1, or -1 when m is not primitively represented: the
+    levels are written deepest first, so a shallower one overwrites.
     """
     m = form.gram_doubled()
     e3 = _smith_e3(form, p)
@@ -151,36 +150,18 @@ def _class_tree(form: TernaryForm, p: int):
         if v[0].size:
             v = [(a[:, None] + p**d * o[None, :]).ravel() for a, o in zip(v, offs)]
         d += 1
-    return levels, e3
-
-
-@lru_cache(maxsize=None)
-def _prim_table(form: TernaryForm, p: int) -> tuple[int, np.ndarray]:
-    """(J, T): m >= 1 is primitively represented over Z_p iff T[m mod p^J]."""
-    levels, e3 = _class_tree(form, p)
     j = 2 * e3 + 1
-    size = p**j
-    table = np.zeros(size, dtype=bool)
-    for d, _v, vals in levels:
+    rows = np.concatenate([vecs for _d, vecs, _vals in levels])
+    depth = np.concatenate([np.full(vals.size, d) for d, _v, vals in levels])
+    first = np.full(p**j, -1, dtype=np.min_scalar_type(-len(rows)))
+    top = len(rows)
+    for d, _v, vals in reversed(levels):
         mod = p ** (2 * d - 1)
-        table.reshape(size // mod, mod)[:, vals] = True
-    table.setflags(write=False)
-    return j, table
-
-
-def _prim_witness(form: TernaryForm, p: int, m: int):
-    """First determined class accepting m; (v, d) or None.  The class's
-    gradient order is d - 1.  A level keeps one class per residue, the
-    first in lift order, so the class found is the one a scan of every
-    decided class of the level would find first."""
-    levels, _e3 = _class_tree(form, p)
-    for d, v, vals in levels:
-        # a Python int below p^(2d-1), so any m is exact
-        r = m % p ** (2 * d - 1)
-        i = int(np.searchsorted(vals, r))
-        if i < vals.size and vals[i] == r:
-            return tuple(int(t) for t in v[i]), d
-    return None
+        top -= vals.size
+        first.reshape(p**j // mod, mod)[:, vals] = np.arange(top, top + vals.size)
+    for a in (first, rows, depth):
+        a.setflags(write=False)
+    return j, first, rows, depth
 
 
 def _unramified_witness(form: TernaryForm, p: int, m: int) -> tuple[int, int, int]:
@@ -237,13 +218,14 @@ def local_represents(form: TernaryForm, p: int, n: int) -> LocalVerdict:
         v = _unramified_witness(form, p, n)
         return LocalVerdict(p, n, True, residue=v, precision=0, grad_ord=0)
 
+    big_j, first, rows, depth = _class_tree(form, p)
     for j in range(ord_p(p, n) // 2 + 1):
-        m = n // p ** (2 * j)
-        hit = _prim_witness(form, p, m)
-        if hit is not None:
-            v, d = hit
-            res = (p**j * v[0], p**j * v[1], p**j * v[2])
-            return LocalVerdict(p, n, True, residue=res, precision=j + d - 1, grad_ord=j + d - 1)
+        # Python ints throughout, so any n is exact
+        i = int(first[n // p ** (2 * j) % p**big_j])
+        if i >= 0:
+            res = tuple(p**j * int(t) for t in rows[i])
+            k = j + int(depth[i]) - 1
+            return LocalVerdict(p, n, True, residue=res, precision=k, grad_ord=k)
     exhaust = 2 * (ord_p(p, 2 * n * form.gram_det()) // 2) + 1
     return LocalVerdict(p, n, False, precision=exhaust)
 
@@ -270,10 +252,10 @@ def locally_represented(form: TernaryForm, p: int, n: int) -> bool:
     _check_prime(p)
     if unramified_shortcut(form, p):
         return True
-    j, table = _prim_table(form, p)
+    j, first, _rows, _depth = _class_tree(form, p)
     mod = p**j
     while True:
-        if table[n % mod]:
+        if first[n % mod] >= 0:
             return True
         if n % (p * p):
             return False
@@ -287,12 +269,13 @@ def local_mask(form: TernaryForm, p: int, bound: int) -> np.ndarray:
         return np.arange(bound + 1) > 0
     # n -> L_p iff n / p^(2j) is primitively represented for some p^(2j) | n:
     # for each scaling k = p^(2j), the multiples k*m read the table at
-    # m mod p^J, i.e. the table tiled over 0..bound // k
-    _, table = _prim_table(form, p)
+    # m mod p^J, i.e. a prefix of the table tiled over 0..bound
+    _j, first, _rows, _depth = _class_tree(form, p)
+    hit = np.resize(first, bound + 1) >= 0
     out = np.zeros(bound + 1, dtype=bool)
     k = 1
     while k <= bound:
-        out[k::k] |= np.resize(table, bound // k + 1)[1:]
+        out[k::k] |= hit[1 : bound // k + 1]
         k *= p * p
     return out
 

@@ -116,6 +116,10 @@ class TestFactor:
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
 
 
+PSI12 = 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
+
+
 class TestIsPrime:
     def test_against_trial_division(self):
         for n in range(2, 2000):
@@ -128,6 +132,18 @@ class TestIsPrime:
 
     def test_mersenne(self):
         assert is_prime(2**61 - 1)
+
+    def test_psi12_is_composite(self):
+        # the least strong pseudoprime to the bases 2..37; base 41 catches it
+        assert not is_prime(PSI12)
+
+    def test_refuses_from_psi13(self):
+        # the least strong pseudoprime to the bases 2..41: beyond it the
+        # test certifies nothing
+        assert PSI13 == 1287836182261 * 2575672364521
+        for n in (PSI13, PSI13 + 2, 2**89 - 1):
+            with pytest.raises(ValueError, match="^primality is not certified"):
+                is_prime(n)
 
 
 class TestLegendre:

@@ -242,6 +242,10 @@ class TestRejectedText:
             ("sgii 1,1,16,0,0,0\n", "", "record A1: both spinor genera need forms"),
             ("sgi 2,2,5,2,2,0", "sgi -2,2,5,2,2,0",
              f"record A1: {TernaryForm(-2, 2, 5, 2, 2, 0)} not positive definite"),
+            # A1's first form under x -> x + 40y: same determinant and
+            # definiteness, but a scan box that grows with the skew
+            ("sgi 2,2,5,2,2,0", "sgi 2,3202,5,82,2,160",
+             f"record A1: {TernaryForm(2, 3202, 5, 82, 2, 160)} is not reduced"),
             ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0", "delta 68\nsgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
              "record A1: delta has large prime factors"),
             # a product of two primes above 2^60, which factor's Pollard rho

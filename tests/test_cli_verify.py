@@ -233,6 +233,25 @@ class TestLocalCommand:
         assert out == ""
         assert err == f"error: p must be a prime, got {p}\n"
 
+    @pytest.mark.parametrize(
+        "p, n, err",
+        [
+            # psi_12, a composite that the bases 2..37 alone take for prime
+            ("318665857834031151167461", "2", "p must be a prime, got 318665857834031151167461"),
+            ("318665857834031151167461", "1", "p must be a prime, got 318665857834031151167461"),
+            # psi_13, from where primality is not certified
+            ("3317044064679887385961981", "5",
+             "primality is not certified at or above 3317044064679887385961981, "
+             "got 3317044064679887385961981"),
+        ],
+        ids=("psi12-n2", "psi12-n1", "psi13"),
+    )
+    def test_uncertified_prime(self, capsys, p, n, err):
+        code, out, got = run(capsys, "local", "A1", p, n)
+        assert code == 2
+        assert out == ""
+        assert got == f"error: {err}\n"
+
     def test_n_beyond_int64(self, capsys):
         code, out, _ = run(capsys, "local", "B11", "3", str(2**63))
         assert code == 0

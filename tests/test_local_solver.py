@@ -16,7 +16,6 @@ from spinor_ternary.catalog import LocalSplitting
 from spinor_ternary.forms_core import TernaryForm, enumerate_represented, evaluate
 from spinor_ternary.local_solver import (
     _class_tree,
-    _prim_table,
     genus_mask,
     genus_represents,
     lemma71_excluded,
@@ -190,19 +189,44 @@ class TestClassTree:
         for form, p in RAMIFIED:
             a, b, c, d_, e, f = form.coeffs()
             mat = np.array(form.gram_doubled(), dtype=np.int64)
-            for d, v, vals in _class_tree(form, p)[0]:
-                mod = p ** (2 * d - 1)
-                # strictly increasing residues: one row per residue
-                assert (np.diff(vals) > 0).all() and 0 <= vals[0] and vals[-1] < mod, (form, p, d)
+            _j, _first, vecs, depth = _class_tree(form, p)
+            # rows come in level order
+            assert (np.diff(depth) >= 0).all(), (form, p)
+            for d in np.unique(depth):
+                v = vecs[depth == d]
+                mod = p ** (2 * int(d) - 1)
                 x, y, z = v.T
-                values = a * x * x + b * y * y + c * z * z + d_ * y * z + e * x * z + f * x * y
-                assert np.array_equal(values % mod, vals), (form, p, d)
+                vals = (a * x * x + b * y * y + c * z * z + d_ * y * z + e * x * z + f * x * y) % mod
+                # strictly increasing residues: one row per residue
+                assert (np.diff(vals) > 0).all(), (form, p, d)
                 # gradient order exactly d - 1
                 grad = v @ mat
                 assert (grad % p ** (d - 1) == 0).all(), (form, p, d)
                 assert (grad % p**d != 0).any(axis=1).all(), (form, p, d)
                 rows += vals.size
         assert rows == 3399
+
+    def test_first_level_wins(self):
+        # first[m] is a row accepting m from the shallowest level that has
+        # one, and -1 exactly when no row accepts m
+        for form, p in RAMIFIED:
+            j, first, vecs, depth = _class_tree(form, p)
+            m = np.arange(p**j)
+            a, b, c, d_, e, f = form.coeffs()
+            x, y, z = vecs.T
+            vals = a * x * x + b * y * y + c * z * z + d_ * y * z + e * x * z + f * x * y
+            shallowest = np.full(m.size, np.iinfo(np.int64).max)
+            for d in np.unique(depth):
+                mod = p ** (2 * int(d) - 1)
+                accepts = np.zeros(mod, dtype=bool)
+                accepts[vals[depth == d] % mod] = True
+                hit = accepts[m % mod]
+                shallowest[hit] = np.minimum(shallowest[hit], d)
+            got = first >= 0
+            assert np.array_equal(got, shallowest < np.iinfo(np.int64).max), (form, p)
+            i = first[got].astype(np.int64)
+            assert np.array_equal(depth[i], shallowest[got]), (form, p)
+            assert ((vals[i] - m[got]) % p ** (2 * depth[i] - 1) == 0).all(), (form, p)
 
     def test_verdicts_pinned(self):
         # sha256 of the verdicts before the tree kept one class per residue:
@@ -251,7 +275,8 @@ class TestBulkMask:
         for rec in catalog.records:
             form = rec.sgi_forms[0]
             for p in rec.ramified_primes():
-                j, table = _prim_table(form, p)
+                j, first, _rows, _depth = _class_tree(form, p)
+                table = first >= 0
                 mod = p**j
                 if mod**3 > 2**21:
                     continue
@@ -273,7 +298,8 @@ class TestBulkMask:
         # tiled table reads the same bits as table[m mod p^J]
         assert len(RAMIFIED) == 45
         for form, p in RAMIFIED:
-            j, table = _prim_table(form, p)
+            j, first, _rows, _depth = _class_tree(form, p)
+            table = first >= 0
             mod = p**j
             bound = 2 * mod + 1
             want = np.zeros(bound + 1, dtype=bool)
