@@ -6,7 +6,8 @@ the whole catalog.
 
 stdout is deterministic; wall-clock timings go to stderr.  Exit status is
 0 when everything passed, 1 when a verification found mismatches, 2 for
-usage, input and I/O failures and for any unexpected error.
+usage, input and I/O failures, for a bound whose arrays would not fit in
+the memory available, and for any unexpected error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ from .spinor_theory import (
 )
 
 DEFAULT_BOUND = 50000
+
+# Peak bytes per n of one process, measured as the slope of its peak RSS
+# between two bounds on the embedded catalog (Python 3.11, numpy 2.4):
+# verify 40 (keys, the route masks and A1's scan slab; 2e5 -> 8e5), report
+# 198 (a str per n; 1e5 -> 3e5), classify 41 (the scan to n, A1 at 1e6 ->
+# 4e6) and exceptional-list 2 (1e6 -> 4e6).  The cap adds about a fifth.
+_BYTES_PER_N = {"verify": 48, "report": 240, "classify": 48, "exceptional-list": 4}
 
 __all__ = [
     "VerificationReport",
@@ -166,6 +174,30 @@ def write_report(records, bound: int, stream) -> int:
 
 # ------------------------------------------------------------ subcommands
 
+def _available_memory() -> int | None:
+    """MemAvailable in bytes, or None where /proc/meminfo does not say."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _check_memory(command: str, n: int, workers: int = 1) -> None:
+    """Refuse, before any per-n array exists, a run to n whose estimated
+    peak exceeds the memory available."""
+    need = _BYTES_PER_N[command] * n * workers
+    avail = _available_memory()
+    if avail is not None and need > avail:
+        raise ValueError(
+            f"{command} to {n} needs about {need >> 20} MiB, more than the "
+            f"{avail >> 20} MiB available"
+        )
+
+
 def _records_for(catalog: CatalogFile, ident: str) -> list[GenusRecord]:
     if ident == "all":
         return list(catalog.records)
@@ -174,6 +206,7 @@ def _records_for(catalog: CatalogFile, ident: str) -> list[GenusRecord]:
 
 def cmd_classify(catalog: CatalogFile, args) -> int:
     rec = catalog.lookup(args.record)
+    _check_memory("classify", args.n)
     # the witness is the least solution, so enumerating up to n suffices
     result = classify(rec, args.n, enumerate_represented(rec.sgi_forms[0], max(args.n, 1)))
     if result.verdict == REPRESENTED:
@@ -194,6 +227,7 @@ def cmd_verify(catalog: CatalogFile, args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
+    _check_memory("verify", args.bound, args.jobs)
     reports = verify_records(_records_for(catalog, args.record), args.bound, args.jobs)
     ok = True
     for rep in reports:
@@ -226,6 +260,7 @@ def cmd_exceptional_list(catalog: CatalogFile, args) -> int:
     rec = catalog.lookup(args.record)
     if args.bound < 1:
         raise ValueError("bound must be >= 1")
+    _check_memory("exceptional-list", args.bound)
     for n in np.flatnonzero(squareclass_mask(rec.exceptional_spec, args.bound)):
         print(int(n))
     return 0
@@ -236,6 +271,7 @@ def cmd_report(catalog: CatalogFile, args) -> int:
     # checked before --output is opened, so a bad bound leaves the file as it was
     if args.bound < 1:
         raise ValueError("bound must be >= 1")
+    _check_memory("report", args.bound)
     if args.output is None:
         bad = write_report(records, args.bound, sys.stdout)
     else:

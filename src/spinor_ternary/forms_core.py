@@ -12,7 +12,10 @@ never require half-integers.
 
 Enumeration evaluates F on a block of whole x slices per numpy pass, in
 int32 when the box's bound on |F| is below 2^31 and in int64 otherwise;
-the keys and witnesses do not depend on the block or the width.
+the keys and witnesses do not depend on the block or the width.  It scans
+one point per sign orbit that fixes x: the least witness has y <= 0 when
+f = 0 and d or e is 0 ((x, -y, z) or (x, -y, -z) keeps F), and z <= 0 when
+d = e = 0 ((x, y, -z) keeps F), as the mirror of any other is smaller.
 """
 
 from __future__ import annotations
@@ -133,13 +136,13 @@ class RepresentedSet:
 
     key[n] is the least scan position x*|slab| + flat(y, z) of a vector with
     F = n (x >= 0, then y, then z ascending), or _NO_KEY when none exists;
-    the box has |y| <= x2, |z| <= x3 and rows of nz = 2*x3 + 1 entries.
+    the box (x2, x3, ny, nz) has ny values of y from -x2 and nz of z from -x3.
     """
 
-    def __init__(self, bound: int, key: np.ndarray, box: tuple[int, int, int]):
+    def __init__(self, bound: int, key: np.ndarray, box: tuple[int, int, int, int]):
         self.bound = bound
         self._key = key  # int64, indexed by n, size bound+1
-        self._box = box  # (x2, x3, nz)
+        self._box = box  # (x2, x3, ny, nz)
         self._member = key != _NO_KEY
         self._member.setflags(write=False)
 
@@ -166,8 +169,8 @@ class RepresentedSet:
 
     def _decode(self, key):
         # int or int64 array alike: x, then y and z shifted back to the box
-        x2, x3, nz = self._box
-        x, flat = divmod(key, (2 * x2 + 1) * nz)
+        x2, x3, ny, nz = self._box
+        x, flat = divmod(key, ny * nz)
         y, z = divmod(flat, nz)
         return x, y - x2, z - x3
 
@@ -175,11 +178,11 @@ class RepresentedSet:
 def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     """Every n in 1..bound with F(v) = n for some integer v, with witnesses.
 
-    Scans x >= 0 only (F(-v) = F(v)) over the ellipsoid box, a block of
-    whole x slices per numpy pass (about _BLOCK_POINTS points, or one slice
-    when a slice is larger), and every n keeps the least scan position that
-    gives it.  The block arithmetic is int32 when the box's bound on |F|
-    is below 2^31, int64 otherwise.
+    Scans x >= 0 (F(-v) = F(v)) over the ellipsoid box less the sign
+    mirrors (module docstring), a block of whole x slices per numpy pass
+    (about _BLOCK_POINTS points, or one slice when a slice is larger), and
+    every n keeps the least scan position that gives it.  The arithmetic is
+    int32 when the box's bound on |F| is below 2^31, int64 otherwise.
     """
     if not is_positive_definite(form):
         raise DefinitenessError(f"form {form} is not positive definite")
@@ -205,8 +208,9 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     dtype = np.int32 if worst <= np.iinfo(np.int32).max else np.int64
 
     key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
-    ys = np.arange(-x2, x2 + 1, dtype=np.int64)
-    zs = np.arange(-x3, x3 + 1, dtype=np.int64)
+    # the least witness's sign rules (module docstring): y <= 0, z <= 0
+    ys = np.arange(-x2, 1 if f == 0 and (d == 0 or e == 0) else x2 + 1, dtype=np.int64)
+    zs = np.arange(-x3, 1 if d == e == 0 else x3 + 1, dtype=np.int64)
     slab = ys.size * zs.size
     col = (b * ys * ys)[:, None] + d * ys[:, None] * zs[None, :] + (c * zs * zs)[None, :]
     col = col.astype(dtype)
@@ -223,4 +227,4 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
         pos = np.flatnonzero(flat <= bound)
         np.minimum.at(key, flat[pos], x0 * slab + pos)
     key[0] = _NO_KEY
-    return RepresentedSet(bound, key, (x2, x3, zs.size))
+    return RepresentedSet(bound, key, (x2, x3, ys.size, zs.size))

@@ -29,6 +29,7 @@ from spinor_ternary.spinor_theory import (
     congruence_Mt,
     exceptional_general_mask,
     in_Mt,
+    mt_mask,
     squareclass_mask,
 )
 
@@ -279,10 +280,26 @@ def test_criterion_8():
             prod *= hilbert(p, a, b)
         assert prod == 1
 
+    # both routes ask whether every prime factor of w passes a per-prime
+    # test, so they agree on every w <= wmax exactly when the two tests
+    # agree on every prime <= wmax: pointwise to 10^4, then mt_mask (the
+    # sieve on in_Mt's test) against a sieve on congruence_Mt's test
     wmax = 10**5
+    sieve = np.ones(wmax + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(wmax) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    mt_primes = np.flatnonzero(sieve).tolist()
     for t in (1, 2, 3, 7):
-        for w in range(1, wmax + 1):
+        for w in range(1, 10**4 + 1):
             assert in_Mt(t, w) == congruence_Mt(t, w), (t, w)
+        want = np.ones(wmax + 1, dtype=bool)
+        want[0] = False
+        for p in mt_primes:
+            if not congruence_Mt(t, p):
+                want[p::p] = False
+        assert np.array_equal(mt_mask(t, wmax), want), t
         for s in (2, 3, 5):
             for w in range(1, 2001):
                 assert in_Mt(t, w) == in_Mt(s * s * t, w), (t, s, w)

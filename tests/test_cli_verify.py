@@ -379,6 +379,44 @@ class TestVerifyCommand:
         assert "MISMATCH B3 n=3" in out
 
 
+class TestMemoryCap:
+    @pytest.mark.parametrize("argv, n", (
+        ("verify all --bound 200000 --jobs 2", 200000),
+        ("report all --bound 20000", 20000),
+        ("exceptional-list A1 --bound 1000000", 1000000),
+        ("classify A1 400009", 400009),
+    ))
+    def test_refused_with_one_line(self, capsys, monkeypatch, argv, n):
+        # each run needs more than 1 MiB; the refusal comes before any work
+        monkeypatch.setattr(cli_verify, "_available_memory", lambda: 1 << 20)
+        command, *rest = argv.split()
+        code, out, err = run(capsys, command, *rest)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {command} to {n} needs about ")
+
+    def test_counts_every_worker(self, capsys, monkeypatch):
+        one = cli_verify._BYTES_PER_N["verify"] * 300
+        monkeypatch.setattr(cli_verify, "_available_memory", lambda: one)
+        assert run(capsys, "verify", "all", "--bound", "300")[0] == 0
+        code, out, err = run(capsys, "verify", "all", "--bound", "300", "--jobs", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: verify to 300 needs about ")
+
+    def test_report_refusal_leaves_output_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli_verify, "_available_memory", lambda: 0)
+        path = tmp_path / "report.tsv"
+        path.write_text("sentinel\n")
+        code, _, _ = run(capsys, "report", "A1", "--bound", "10", "--output", str(path))
+        assert code == 2
+        assert path.read_text() == "sentinel\n"
+
+    def test_available_memory(self):
+        avail = cli_verify._available_memory()
+        assert avail is None or avail > 0
+
+
 class TestReportCommand:
     def test_a5_exceptional_rows(self, capsys):
         code, out, _ = run(capsys, "report", "A5", "--bound", "100")

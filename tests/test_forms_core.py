@@ -3,15 +3,16 @@ exhaustive represented-set enumeration with witnesses.
 
 The enumeration is cross-checked against a brute-force cube scan whose
 coordinate box comes from a floating-point eigenvalue bound, so the two
-routes share no search logic, and its keys against a one-slice-per-pass
-int64 scan of the same box, the reference for the blocked int32 scan.
+routes share no search logic, and against a one-slice-per-pass int64 scan
+of the full box, the reference for the blocked int32 scan and its sign
+rules: both must give the same members and the same least witnesses.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinor_ternary.forms_core import (
@@ -63,6 +64,43 @@ def slice_scan_keys(form: TernaryForm, bound: int) -> np.ndarray:
         pos = np.flatnonzero((flat >= 1) & (flat <= bound))
         np.minimum.at(key, flat[pos], x * flat.size + pos)
     return key
+
+
+def slice_scan_least(form: TernaryForm, bound: int):
+    """slice_scan_keys decoded with its own full box: the member mask and
+    the least (x, y, z) of each member, as arrays."""
+    key = slice_scan_keys(form, bound)
+    adj, det = form.gram_adjugate(), form.gram_det()
+    x2, x3 = (math.isqrt(2 * bound * adj[i][i] // det) for i in (1, 2))
+    member = key != np.iinfo(np.int64).max
+    nz = 2 * x3 + 1
+    x, flat = np.divmod(key[member], (2 * x2 + 1) * nz)
+    y, z = np.divmod(flat, nz)
+    return member, (x, y - x2, z - x3)
+
+
+def assert_matches_slice_scan(form: TernaryForm, bound: int):
+    rs = enumerate_represented(form, bound)
+    member, want = slice_scan_least(form, bound)
+    assert np.array_equal(rs.member_mask(), member), form
+    got = rs.witnesses(np.flatnonzero(member))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want)), form
+
+
+@st.composite
+def reduced_forms(draw, zeros):
+    """Reduced positive definite forms (a <= b <= c, |f|, |e| <= a,
+    |d| <= b) with small coefficients; d, e, f are zero where zeros says."""
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(a, 5))
+    c = draw(st.integers(b, 6))
+    d, e, f = (
+        0 if zero else draw(st.integers(-lim, lim).filter(bool))
+        for zero, lim in zip(zeros, (b, a, a))
+    )
+    form = TernaryForm(a, b, c, d, e, f)
+    assume(is_positive_definite(form))
+    return form
 
 
 class TestEvaluate:
@@ -209,12 +247,25 @@ class TestEnumeration:
                 assert np.array_equal(rs.member_mask(), want), (rec.rid, form)
                 assert {n: tuple(rs.witness(n)) for n in least} == least, (rec.rid, form)
 
+    @pytest.mark.parametrize("zeros", [
+        (d, e, f) for d in (True, False) for e in (True, False) for f in (True, False)
+    ], ids=lambda zeros: ",".join(f"{v}{'=' if z else '!='}0" for v, z in zip("def", zeros)))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), bound=st.integers(1, 60))
+    def test_sign_rules_match_brute_force(self, zeros, data, bound):
+        # every zero pattern of (d, e, f) takes the y rule, the z rule, both
+        # or neither; the cube scan has no rules
+        form = data.draw(reduced_forms(zeros))
+        rs = enumerate_represented(form, bound)
+        least = brute_least_vectors(form, bound)
+        assert np.flatnonzero(rs.member_mask()).tolist() == sorted(least)
+        assert {n: tuple(rs.witness(n)) for n in least} == least
+
     @pytest.mark.parametrize("bound", (1, 2, 3, 48, 121, 1000, 5000))
     def test_keys_match_slice_scan_on_catalog_forms(self, catalog, bound):
         for rec in catalog.records:
             for form in rec.all_forms():
-                got = enumerate_represented(form, bound)._key
-                assert np.array_equal(got, slice_scan_keys(form, bound)), (rec.rid, form)
+                assert_matches_slice_scan(form, bound)
 
     @pytest.mark.parametrize("form, bound", (
         # A1: one x slice holds more points than a block
@@ -225,8 +276,7 @@ class TestEnumeration:
         (TernaryForm(2**40, 1, 1, 0, 0, 0), 10),
     ))
     def test_keys_match_slice_scan_past_a_block_and_int32(self, form, bound):
-        got = enumerate_represented(form, bound)._key
-        assert np.array_equal(got, slice_scan_keys(form, bound))
+        assert_matches_slice_scan(form, bound)
 
     def test_large_coefficient_members(self):
         rs = enumerate_represented(TernaryForm(2**40, 1, 1, 0, 0, 0), 10)
