@@ -9,7 +9,7 @@ union that disagrees with the enumeration, first at n = 17.
 
 import numpy as np
 
-from spinor_ternary import enumerate_represented, load_default_catalog
+from spinor_ternary import load_default_catalog, represented_mask
 from spinor_ternary.local_solver import (
     lemma72_excluded,
     lemma73_excluded,
@@ -24,7 +24,7 @@ def main() -> None:
     catalog = load_default_catalog()
     rec = catalog.lookup("B11")
     form = rec.sgi_forms[0]
-    rep = enumerate_represented(form, BOUND).member_mask()
+    rep = represented_mask(form, BOUND)
 
     n = np.arange(BOUND + 1)
     two_adic = lemma72_excluded(n)

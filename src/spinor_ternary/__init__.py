@@ -29,6 +29,7 @@ from .forms_core import (
     enumerate_represented,
     evaluate,
     is_positive_definite,
+    represented_mask,
 )
 from .local_solver import (
     LocalVerdict,

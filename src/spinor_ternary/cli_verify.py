@@ -24,7 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from .catalog import CatalogFile, GenusRecord, dumps, load_catalog, load_default_catalog
-from .forms_core import BoundOverflowError, enumerate_represented
+from .forms_core import BoundOverflowError, enumerate_represented, represented_mask, scan_bytes
 from .local_solver import first_failing_prime, local_represents, unramified_shortcut
 from .spinor_theory import (
     EXCEPTIONAL,
@@ -41,12 +41,14 @@ from .spinor_theory import (
 
 DEFAULT_BOUND = 50000
 
-# Peak bytes per n of one process, measured as the slope of its peak RSS
-# between two bounds on the embedded catalog (Python 3.11, numpy 2.4):
-# verify 40 (keys, the route masks and A1's scan slab; 2e5 -> 8e5), report
-# 198 (a str per n; 1e5 -> 3e5), classify 41 (the scan to n, A1 at 1e6 ->
-# 4e6) and exceptional-list 2 (1e6 -> 4e6).  The cap adds about a fifth.
-_BYTES_PER_N = {"verify": 48, "report": 240, "classify": 48, "exceptional-list": 4}
+# Peak bytes per n of one process besides the scan's slab and block
+# (forms_core.scan_bytes, added per form), measured as the slope of its
+# peak RSS between two bounds on a record whose slab is small (B11's first
+# form: 0.04 slab points per n; Python 3.11, numpy 2.4): verify 40 (the
+# member and route masks; 8e5 -> 3.2e6), report 198 (a str per n; 1e5 ->
+# 3e5), classify 10 (the key and member mask; 1e6 -> 4e6) and
+# exceptional-list 2 (1e6 -> 4e6).  The cap adds about a fifth.
+_BYTES_PER_N = {"verify": 48, "report": 240, "classify": 12, "exceptional-list": 4}
 
 __all__ = [
     "VerificationReport",
@@ -83,19 +85,19 @@ class VerificationReport:
 
 # ------------------------------------------------------------ verification
 
-def record_masks(rec: GenusRecord, bound: int):
-    """Routes 1 and 2 over 0..bound: (rs, fail, idx, bad), the enumeration,
-    first_failing_prime, squareclass_index and the n whose (represented,
-    genus-represented, in a squareclass) is none of the consistent (1, 1, 0)
-    REPRESENTED, (0, 1, 1) EXCEPTIONAL and (0, 0, 0) LOCALLY_EXCLUDED."""
-    rs = enumerate_represented(rec.sgi_forms[0], bound)
+def record_masks(rec: GenusRecord, bound: int, rep: np.ndarray):
+    """Routes 1 and 2 over 0..bound, given rep, the member mask of the
+    record's sgi[0] to bound: (fail, idx, bad), first_failing_prime,
+    squareclass_index and the n whose (represented, genus-represented, in a
+    squareclass) is none of the consistent (1, 1, 0) REPRESENTED, (0, 1, 1)
+    EXCEPTIONAL and (0, 0, 0) LOCALLY_EXCLUDED."""
     fail = first_failing_prime(rec, bound)
     idx = squareclass_index(rec.exceptional_spec, bound)
-    rep, gen, spec = rs.member_mask(), fail == 0, idx >= 0
+    gen, spec = fail == 0, idx >= 0
     # rep <= gen too: a represented n is represented everywhere locally;
     # n = 0 is in none of the three sets, so bad[0] is False
     bad = ((gen & ~rep) != spec) | (rep & ~gen)
-    return rs, fail, idx, bad
+    return fail, idx, bad
 
 
 def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
@@ -106,8 +108,10 @@ def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
     closed-form characterization of what the form misses.
     """
     t0 = perf_counter()
-    rs, fail, idx, bad = record_masks(rec, bound)
-    rep, gen = rs.member_mask(), fail == 0
+    # membership only: no witness is read here
+    rep = represented_mask(rec.sgi_forms[0], bound)
+    fail, idx, bad = record_masks(rec, bound, rep)
+    gen = fail == 0
     bad |= exceptional_general_mask(rec, bound, gen) != (idx >= 0)
     closed = closed_form_missed_mask(rec.rid, bound)
     if closed is not None:
@@ -139,8 +143,9 @@ def write_report(records, bound: int, stream) -> int:
     Returns the number of INCONSISTENT rows (0 in a healthy run)."""
     total = 0
     for rec in records:
-        rs, fail, idx, bad = record_masks(rec, bound)
+        rs = enumerate_represented(rec.sgi_forms[0], bound)
         rep = rs.member_mask()
+        fail, idx, bad = record_masks(rec, bound, rep)
         # verdict and detail of each n, then its whole row; slice assignment
         # shares one str (np.full would copy it per n)
         tail = np.empty(bound + 1, dtype=object)
@@ -186,10 +191,12 @@ def _available_memory() -> int | None:
     return None
 
 
-def _check_memory(command: str, n: int, workers: int = 1) -> None:
+def _check_memory(command: str, n: int, workers: int = 1, forms=()) -> None:
     """Refuse, before any per-n array exists, a run to n whose estimated
-    peak exceeds the memory available."""
-    need = _BYTES_PER_N[command] * n * workers
+    peak exceeds the memory available: per worker, the per-n arrays and
+    the largest scan slab and block of the forms it enumerates."""
+    scan = max((scan_bytes(form, n) for form in forms), default=0)
+    need = (_BYTES_PER_N[command] * n + scan) * workers
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ValueError(
@@ -206,9 +213,10 @@ def _records_for(catalog: CatalogFile, ident: str) -> list[GenusRecord]:
 
 def cmd_classify(catalog: CatalogFile, args) -> int:
     rec = catalog.lookup(args.record)
-    _check_memory("classify", args.n)
     # the witness is the least solution, so enumerating up to n suffices
-    result = classify(rec, args.n, enumerate_represented(rec.sgi_forms[0], max(args.n, 1)))
+    bound = max(args.n, 1)
+    _check_memory("classify", bound, forms=rec.sgi_forms[:1])
+    result = classify(rec, args.n, enumerate_represented(rec.sgi_forms[0], bound))
     if result.verdict == REPRESENTED:
         w = result.witness
         print(f"{REPRESENTED} ({w.x},{w.y},{w.z})")
@@ -227,8 +235,9 @@ def cmd_verify(catalog: CatalogFile, args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
-    _check_memory("verify", args.bound, args.jobs)
-    reports = verify_records(_records_for(catalog, args.record), args.bound, args.jobs)
+    records = _records_for(catalog, args.record)
+    _check_memory("verify", args.bound, args.jobs, [rec.sgi_forms[0] for rec in records])
+    reports = verify_records(records, args.bound, args.jobs)
     ok = True
     for rep in reports:
         print(rep.summary())
@@ -271,7 +280,7 @@ def cmd_report(catalog: CatalogFile, args) -> int:
     # checked before --output is opened, so a bad bound leaves the file as it was
     if args.bound < 1:
         raise ValueError("bound must be >= 1")
-    _check_memory("report", args.bound)
+    _check_memory("report", args.bound, forms=[rec.sgi_forms[0] for rec in records])
     if args.output is None:
         bad = write_report(records, args.bound, sys.stdout)
     else:

@@ -16,6 +16,12 @@ the keys and witnesses do not depend on the block or the width.  It scans
 one point per sign orbit that fixes x: the least witness has y <= 0 when
 f = 0 and d or e is 0 ((x, -y, z) or (x, -y, -z) keeps F), and z <= 0 when
 d = e = 0 ((x, y, -z) keeps F), as the mirror of any other is smaller.
+
+Both scans share the guards, the box, the sign rules and the blocks, and
+differ only in what a block leaves behind.  enumerate_represented keeps
+the least scan position of each n, the witness that `report` and
+`classify` print; represented_mask only marks the n that occur, which is
+all that `verify` reads.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ __all__ = [
     "discriminant",
     "is_positive_definite",
     "enumerate_represented",
+    "represented_mask",
+    "scan_bytes",
 ]
 
 # Intermediates in enumeration must stay well inside signed 64-bit.
@@ -175,15 +183,12 @@ class RepresentedSet:
         return x, y - x2, z - x3
 
 
-def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
-    """Every n in 1..bound with F(v) = n for some integer v, with witnesses.
-
-    Scans x >= 0 (F(-v) = F(v)) over the ellipsoid box less the sign
-    mirrors (module docstring), a block of whole x slices per numpy pass
-    (about _BLOCK_POINTS points, or one slice when a slice is larger), and
-    every n keeps the least scan position that gives it.  The arithmetic is
-    int32 when the box's bound on |F| is below 2^31, int64 otherwise.
-    """
+def _scan_box(form: TernaryForm, bound: int):
+    """(x1, x2, x3, ny, nz, dtype): the box that a scan of form to bound
+    visits, x in 0..x1, ny values of y from -x2 and nz of z from -x3 (the
+    sign mirrors left out, module docstring), with F in dtype.  Raises
+    where the definiteness, bound and 64-bit guards fail; allocates no
+    array."""
     if not is_positive_definite(form):
         raise DefinitenessError(f"form {form} is not positive definite")
     if bound < 1:
@@ -206,15 +211,23 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
         raise BoundOverflowError(f"bound {bound} overflows 64-bit intermediates for {form}")
     # every partial sum below is at most worst in absolute value
     dtype = np.int32 if worst <= np.iinfo(np.int32).max else np.int64
+    # the least witness's sign rules: y <= 0, z <= 0
+    ny = x2 + 1 if f == 0 and (d == 0 or e == 0) else 2 * x2 + 1
+    nz = x3 + 1 if d == e == 0 else 2 * x3 + 1
+    return x1, x2, x3, ny, nz, dtype
 
-    key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
-    # the least witness's sign rules (module docstring): y <= 0, z <= 0
-    ys = np.arange(-x2, 1 if f == 0 and (d == 0 or e == 0) else x2 + 1, dtype=np.int64)
-    zs = np.arange(-x3, 1 if d == e == 0 else x3 + 1, dtype=np.int64)
-    slab = ys.size * zs.size
+
+def _blocks(form: TernaryForm, box):
+    """Yield (x0, flat): F on a block of whole x slices from x0, ravelled
+    in scan order (x, then y, then z ascending); about _BLOCK_POINTS points
+    per block, or one slice when a slice is larger."""
+    a, b, c, d, e, f = form.coeffs()
+    x1, x2, x3, ny, nz, dtype = box
+    ys = np.arange(-x2, ny - x2, dtype=np.int64)
+    zs = np.arange(-x3, nz - x3, dtype=np.int64)
     col = (b * ys * ys)[:, None] + d * ys[:, None] * zs[None, :] + (c * zs * zs)[None, :]
     col = col.astype(dtype)
-    step = max(1, _BLOCK_POINTS // slab)
+    step = max(1, _BLOCK_POINTS // col.size)
     for x0 in range(0, x1 + 1, step):
         xs = np.arange(x0, min(x0 + step, x1 + 1), dtype=np.int64)[:, None]
         # int64 first: a coefficient may pass int32 where its coordinate is only 0
@@ -222,9 +235,51 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
         ez = (e * xs * zs).astype(dtype)
         vals = col + row[:, :, None]
         vals += ez[:, None, :]
-        flat = vals.ravel()
+        yield x0, vals.ravel()
+
+
+def scan_bytes(form: TernaryForm, bound: int) -> int:
+    """Peak bytes that a scan of form to bound holds besides its per-n
+    array, from the box alone (no array is allocated): the slab of (y, z)
+    values, and per block point its F, the filter and, in the keyed scan
+    (the larger), the gathered F, position and key.  A block is at least
+    a slab, so this also covers the slab's build from two int64
+    temporaries."""
+    x1, _, _, ny, nz, dtype = _scan_box(form, bound)
+    slab = ny * nz
+    block = slab * min(x1 + 1, max(1, _BLOCK_POINTS // slab))
+    width = np.dtype(dtype).itemsize
+    return width * slab + (2 * width + 17) * block
+
+
+def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
+    """Every n in 1..bound with F(v) = n for some integer v, with witnesses.
+
+    Scans x >= 0 (F(-v) = F(v)) over the ellipsoid box less the sign
+    mirrors (module docstring), and every n keeps the least scan position
+    that gives it.
+    """
+    box = _scan_box(form, bound)
+    _, x2, x3, ny, nz, _ = box
+    slab = ny * nz
+    key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
+    for x0, flat in _blocks(form, box):
         # F >= 0 on the box, and F = 0 only at the origin (key[0] reset below)
         pos = np.flatnonzero(flat <= bound)
         np.minimum.at(key, flat[pos], x0 * slab + pos)
     key[0] = _NO_KEY
-    return RepresentedSet(bound, key, (x2, x3, ys.size, zs.size))
+    return RepresentedSet(bound, key, (x2, x3, ny, nz))
+
+
+def represented_mask(form: TernaryForm, bound: int) -> np.ndarray:
+    """Read-only bool array indexed by n (index 0 unused): True exactly
+    where enumerate_represented(form, bound) has a member.  The same scan
+    with no witnesses: each block marks its in-range values."""
+    box = _scan_box(form, bound)
+    mask = np.zeros(bound + 1, dtype=bool)
+    for _, flat in _blocks(form, box):
+        mask[flat[flat <= bound]] = True
+    # F = 0 only at the origin
+    mask[0] = False
+    mask.setflags(write=False)
+    return mask

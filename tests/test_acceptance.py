@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spinor_ternary.arith import factor, hilbert
-from spinor_ternary.forms_core import discriminant, enumerate_represented, evaluate
+from spinor_ternary.forms_core import discriminant, evaluate, represented_mask
 from spinor_ternary.local_solver import (
     genus_mask,
     lemma71_excluded,
@@ -45,7 +45,7 @@ def sweep(catalog):
     t0 = perf_counter()
     out = {}
     for rec in catalog.records:
-        rep = enumerate_represented(rec.sgi_forms[0], BOUND).member_mask().copy()
+        rep = represented_mask(rec.sgi_forms[0], BOUND).copy()
         gen = genus_mask(rec, BOUND).copy()
         rep[0] = gen[0] = False
         spec = squareclass_mask(rec.exceptional_spec, BOUND)
@@ -220,10 +220,10 @@ def test_criterion_6(catalog, sweep):
         exceptional = np.flatnonzero(spec)
         sgi_hit = np.zeros(bound + 1, dtype=bool)
         for form in rec.sgi_forms:
-            sgi_hit |= enumerate_represented(form, bound).member_mask()
+            sgi_hit |= represented_mask(form, bound)
         sgii_hit = np.zeros(bound + 1, dtype=bool)
         for form in rec.sgii_forms:
-            sgii_hit |= enumerate_represented(form, bound).member_mask()
+            sgii_hit |= represented_mask(form, bound)
         assert not sgi_hit[exceptional].any(), rec.rid
         assert sgii_hit[exceptional].all(), rec.rid
         checked += exceptional.size

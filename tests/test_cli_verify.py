@@ -3,7 +3,6 @@ bulk verification masks behind the verify subcommand."""
 
 import hashlib
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from spinor_ternary import cli_verify, local_solver, spinor_theory
 from spinor_ternary.catalog import dumps, loads
 from spinor_ternary.cli_verify import main, verify_record
-from spinor_ternary.forms_core import enumerate_represented
+from spinor_ternary.forms_core import TernaryForm, enumerate_represented, represented_mask, scan_bytes
 from spinor_ternary.local_solver import genus_mask, genus_represents
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
@@ -134,11 +133,9 @@ class TestMasks:
         # squareclass) triple: bits 0, 1 and 2 of n - 1
         n = np.arange(9)
         rep, gen, spec = ((n > 0) & ((n - 1) >> k & 1 == 1) for k in range(3))
-        members = SimpleNamespace(member_mask=lambda: rep)
-        monkeypatch.setattr(cli_verify, "enumerate_represented", lambda form, bound: members)
         monkeypatch.setattr(cli_verify, "first_failing_prime", lambda r, b: np.where(gen, 0, 2))
         monkeypatch.setattr(cli_verify, "squareclass_index", lambda s, b: np.where(spec, 0, -1))
-        _, _, _, bad = cli_verify.record_masks(catalog.lookup("B3"), 8)
+        _, _, bad = cli_verify.record_masks(catalog.lookup("B3"), 8, rep)
         assert not bad[0]
         for n in range(1, 9):
             found = inconsistency(rep[n], None if gen[n] else 2, (1, 1) if spec[n] else None)
@@ -396,13 +393,28 @@ class TestMemoryCap:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {command} to {n} needs about ")
 
-    def test_counts_every_worker(self, capsys, monkeypatch):
-        one = cli_verify._BYTES_PER_N["verify"] * 300
+    def test_counts_every_worker(self, capsys, catalog, monkeypatch):
+        scan = max(scan_bytes(rec.sgi_forms[0], 300) for rec in catalog.records)
+        one = cli_verify._BYTES_PER_N["verify"] * 300 + scan
         monkeypatch.setattr(cli_verify, "_available_memory", lambda: one)
         assert run(capsys, "verify", "all", "--bound", "300")[0] == 0
         code, out, err = run(capsys, "verify", "all", "--bound", "300", "--jobs", "2")
         assert (code, out) == (2, "")
         assert err.startswith("error: verify to 300 needs about ")
+
+    def test_counts_the_widest_scan(self, catalog, monkeypatch):
+        # 1,1,1,1,1,1 scans about 6 slab points per n, B11's first form
+        # 0.04: memory that holds B11's run refuses the wide form's
+        n = 100000
+        narrow, wide = catalog.lookup("B11").sgi_forms[0], TernaryForm(1, 1, 1, 1, 1, 1)
+        per_n = cli_verify._BYTES_PER_N["classify"] * n
+        assert scan_bytes(wide, n) > 3 * per_n
+        monkeypatch.setattr(cli_verify, "_available_memory", lambda: per_n + scan_bytes(narrow, n))
+        cli_verify._check_memory("classify", n, forms=[narrow])
+        with pytest.raises(ValueError, match=f"^classify to {n} needs about "):
+            cli_verify._check_memory("classify", n, forms=[narrow, wide])
+        with pytest.raises(ValueError, match=f"^verify to {n} needs about "):
+            cli_verify._check_memory("verify", n, 2, forms=[narrow])
 
     def test_report_refusal_leaves_output_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli_verify, "_available_memory", lambda: 0)
@@ -570,7 +582,7 @@ class TestReportCommand:
             rows = [next(lines).split("\t") for _ in range(bound)]
             got = {int(r[0]) for r in rows if r[1] == "INCONSISTENT"}
             details |= {r[2] for r in rows if r[1] == "INCONSISTENT"}
-            rep = enumerate_represented(rec.sgi_forms[0], bound).member_mask()
+            rep = represented_mask(rec.sgi_forms[0], bound)
             gen = genus_mask(rec, bound)
             spec = squareclass_mask(rec.exceptional_spec, bound)
             want = ((gen & ~rep) != spec) | (rep & ~gen)

@@ -6,9 +6,11 @@ coordinate box comes from a floating-point eigenvalue bound, so the two
 routes share no search logic, and against a one-slice-per-pass int64 scan
 of the full box, the reference for the blocked int32 scan and its sign
 rules: both must give the same members and the same least witnesses.
+The membership-only scan must give the keyed scan's members.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +25,34 @@ from spinor_ternary.forms_core import (
     enumerate_represented,
     evaluate,
     is_positive_definite,
+    represented_mask,
+    scan_bytes,
 )
 
 small_int = st.integers(-9, 9)
 coord = st.integers(-12, 12)
+
+# reduced forms beyond the catalog's 81
+EXTRA_FORMS = tuple(TernaryForm(*c) for c in (
+    (1, 1, 1, 0, 0, 0), (1, 1, 2, 0, 0, 0), (2, 2, 2, 1, 1, 1), (2, 2, 2, -1, 1, -1),
+    (3, 3, 3, 1, -1, 1), (1, 2, 2, 1, 0, 0), (2, 3, 3, 1, 2, -2),
+))
+SCAN_BOUNDS = (1, 2, 3, 48, 121, 1000, 5000)
+PAST_A_BLOCK_AND_INT32 = (
+    # A1: one x slice holds more points than a block
+    (TernaryForm(2, 2, 5, 2, 2, 0), 60000),
+    # the box's bound on |F| is about 1.7e10, past int32
+    (TernaryForm(1, 1, 2**28 + 1, 2**15, 0, 0), 16),
+    # a coefficient past int32 on a box that is only x = 0
+    (TernaryForm(2**40, 1, 1, 0, 0, 0), 10),
+)
+# (form, bound, error) that both scans refuse before allocating
+GUARD_CASES = (
+    (TernaryForm(1, 1, -1, 0, 0, 0), 10, DefinitenessError),
+    (TernaryForm(1, 1, 1, 0, 0, 0), 0, ValueError),
+    (TernaryForm(1, 1, 1, 0, 0, 0), 2**61, BoundOverflowError),
+    (TernaryForm(2**70, 1, 1, 0, 0, 0), 10, BoundOverflowError),
+)
 
 
 def brute_least_vectors(form: TernaryForm, bound: int) -> dict[int, tuple[int, int, int]]:
@@ -260,24 +286,70 @@ class TestEnumeration:
         least = brute_least_vectors(form, bound)
         assert np.flatnonzero(rs.member_mask()).tolist() == sorted(least)
         assert {n: tuple(rs.witness(n)) for n in least} == least
+        assert np.flatnonzero(represented_mask(form, bound)).tolist() == sorted(least)
 
-    @pytest.mark.parametrize("bound", (1, 2, 3, 48, 121, 1000, 5000))
+    @pytest.mark.parametrize("bound", SCAN_BOUNDS)
     def test_keys_match_slice_scan_on_catalog_forms(self, catalog, bound):
         for rec in catalog.records:
             for form in rec.all_forms():
                 assert_matches_slice_scan(form, bound)
 
-    @pytest.mark.parametrize("form, bound", (
-        # A1: one x slice holds more points than a block
-        (TernaryForm(2, 2, 5, 2, 2, 0), 60000),
-        # the box's bound on |F| is about 1.7e10, past int32
-        (TernaryForm(1, 1, 2**28 + 1, 2**15, 0, 0), 16),
-        # a coefficient past int32 on a box that is only x = 0
-        (TernaryForm(2**40, 1, 1, 0, 0, 0), 10),
-    ))
+    @pytest.mark.parametrize("form, bound", PAST_A_BLOCK_AND_INT32)
     def test_keys_match_slice_scan_past_a_block_and_int32(self, form, bound):
         assert_matches_slice_scan(form, bound)
 
     def test_large_coefficient_members(self):
         rs = enumerate_represented(TernaryForm(2**40, 1, 1, 0, 0, 0), 10)
         assert np.flatnonzero(rs.member_mask()).tolist() == [1, 2, 4, 5, 8, 9, 10]
+
+
+def assert_mask_matches_keyed_scan(form: TernaryForm, bound: int):
+    mask = represented_mask(form, bound)
+    assert mask.dtype == bool and mask.shape == (bound + 1,)
+    assert not mask.flags.writeable  # callers share it without copying
+    assert np.array_equal(mask, enumerate_represented(form, bound).member_mask()), (form, bound)
+
+
+class TestRepresentedMask:
+    """represented_mask is the keyed scan without keys: the same members."""
+
+    @pytest.mark.parametrize("bound", SCAN_BOUNDS)
+    def test_matches_keyed_scan_on_catalog_and_extra_forms(self, catalog, bound):
+        forms = [form for rec in catalog.records for form in rec.all_forms()]
+        assert len(forms) == 81
+        for form in forms + list(EXTRA_FORMS):
+            assert_mask_matches_keyed_scan(form, bound)
+
+    @pytest.mark.parametrize("form, bound", PAST_A_BLOCK_AND_INT32)
+    def test_matches_keyed_scan_past_a_block_and_int32(self, form, bound):
+        assert_mask_matches_keyed_scan(form, bound)
+
+    @pytest.mark.parametrize("form, bound, error", GUARD_CASES)
+    def test_same_guards_as_keyed_scan(self, form, bound, error):
+        with pytest.raises(error) as keyed:
+            enumerate_represented(form, bound)
+        for other in (represented_mask, scan_bytes):
+            with pytest.raises(error) as got:
+                other(form, bound)
+            assert type(got.value) is type(keyed.value)
+            assert str(got.value) == str(keyed.value)
+
+
+class TestScanBytes:
+    @pytest.mark.parametrize("form, bound", (
+        # about 6 slab points per n, the widest reduced form
+        (TernaryForm(1, 1, 1, 1, 1, 1), 20000),
+        *PAST_A_BLOCK_AND_INT32[:2],
+    ))
+    @pytest.mark.parametrize("scan", (enumerate_represented, represented_mask))
+    def test_bounds_the_traced_peak(self, form, bound, scan):
+        # everything the scan allocates beyond its per-n arrays (int64 key
+        # and bool member mask, or the bool mask alone)
+        per_n = (9 if scan is enumerate_represented else 1) * (bound + 1)
+        tracemalloc.start()
+        try:
+            scan(form, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - per_n <= scan_bytes(form, bound)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from spinor_ternary import load_default_catalog
 from spinor_ternary.catalog import LocalSplitting
-from spinor_ternary.forms_core import TernaryForm, enumerate_represented, evaluate
+from spinor_ternary.forms_core import TernaryForm, evaluate, represented_mask
 from spinor_ternary.local_solver import (
     _class_tree,
     genus_mask,
@@ -335,7 +335,7 @@ class TestGenus:
         for rec in catalog.records:
             union = np.zeros(bound + 1, dtype=bool)
             for form in rec.all_forms():
-                union |= enumerate_represented(form, bound).member_mask()
+                union |= represented_mask(form, bound)
                 forms += 1
             mismatches = np.flatnonzero(union[1:] != genus_mask(rec, bound)[1:]) + 1
             assert mismatches.size == 0, (rec.rid, mismatches[:10])

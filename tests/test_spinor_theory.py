@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spinor_ternary.arith import normgroup_is_closed
 from spinor_ternary.catalog import LocalData, LocalSplitting
-from spinor_ternary.forms_core import enumerate_represented
+from spinor_ternary.forms_core import enumerate_represented, represented_mask
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
     LOCALLY_EXCLUDED,
@@ -144,7 +144,7 @@ class TestSpinorRegular:
         # another class of its spinor genus represents
         rec = catalog.lookup(rid)
         assert len(rec.sgi_forms) == 2
-        first, second = (enumerate_represented(f, 50000).member_mask() for f in rec.sgi_forms)
+        first, second = (represented_mask(f, 50000) for f in rec.sgi_forms)
         assert not (second & ~first).any()
 
 
