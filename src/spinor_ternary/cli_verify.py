@@ -41,14 +41,16 @@ from .spinor_theory import (
 
 DEFAULT_BOUND = 50000
 
-# Peak bytes per n of one process besides the scan's slab and block
-# (forms_core.scan_bytes, added per form), measured as the slope of its
-# peak RSS between two bounds on a record whose slab is small (B11's first
-# form: 0.04 slab points per n; Python 3.11, numpy 2.4): verify 40 (the
-# member and route masks; 8e5 -> 3.2e6), report 198 (a str per n; 1e5 ->
-# 3e5), classify 10 (the key and member mask; 1e6 -> 4e6) and
+# Peak bytes per n of one process after its scan, measured as the slope of
+# its peak RSS between two bounds on a record whose slab is small (B11's
+# first form: 0.04 slab points per n; Python 3.11, numpy 2.4): verify 40
+# (the member and route masks; 8e5 -> 3.2e6), report 198 (a str per n;
+# 1e5 -> 3e5), classify 10 (the key and member mask; 1e6 -> 4e6) and
 # exceptional-list 2 (1e6 -> 4e6).  The cap adds about a fifth.
 _BYTES_PER_N = {"verify": 48, "report": 240, "classify": 12, "exceptional-list": 4}
+# Per-n bytes alive during the scan, besides its slab and block
+# (forms_core.scan_bytes): verify's member mask, the keyed scan's int64 key.
+_SCAN_BYTES_PER_N = {"verify": 1, "report": 8, "classify": 8}
 
 __all__ = [
     "VerificationReport",
@@ -193,10 +195,12 @@ def _available_memory() -> int | None:
 
 def _check_memory(command: str, n: int, workers: int = 1, forms=()) -> None:
     """Refuse, before any per-n array exists, a run to n whose estimated
-    peak exceeds the memory available: per worker, the per-n arrays and
-    the largest scan slab and block of the forms it enumerates."""
-    scan = max((scan_bytes(form, n) for form in forms), default=0)
-    need = (_BYTES_PER_N[command] * n + scan) * workers
+    peak exceeds the memory available: per worker, the larger of its two
+    phases, the scan of the widest form it enumerates (the scan's per-n
+    array, slab and block) and the per-n arrays built after the scan has
+    freed its slab and block."""
+    scan = max((_SCAN_BYTES_PER_N[command] * n + scan_bytes(form, n) for form in forms), default=0)
+    need = max(scan, _BYTES_PER_N[command] * n) * workers
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ValueError(

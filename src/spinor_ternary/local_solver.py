@@ -17,8 +17,13 @@ accepts n / p^(2j).
 
 The tree is kept as one table per (form, p): its kept classes as rows, the
 level of each row, and, for every residue m mod p^J, the row of the
-shallowest level accepting m (-1 when none does).  Certificates,
-membership and the bulk masks all read that table.
+shallowest level accepting m (-1 when none does).  The table is filled
+shallowest level first, and a level keeps a row only for residues that no
+shallower level has taken, so every row is read.  An undecided class v of
+level d has p^d | M_F v, so every lift v + p^d w has F = F(v) mod p^(2d);
+once F(v) mod p^(2d-1) is taken, its subtree cannot change the table and v
+is not split.  Certificates, membership and the bulk masks all read that
+table.
 """
 
 from __future__ import annotations
@@ -120,45 +125,50 @@ def _class_tree(form: TernaryForm, p: int):
     the level d of rows[i]: known mod p^d, gradient order d - 1, accepting
     F(rows[i]) + p^(2d-1) Z_p.  Every level's modulus divides p^J, J =
     2*e3 + 1, and first[m mod p^J] is the row of the shallowest level
-    accepting m >= 1, or -1 when m is not primitively represented: the
-    levels are written deepest first, so a shallower one overwrites.
+    accepting m >= 1, or -1 when m is not primitively represented.
+
+    The levels are written shallowest first.  An undecided class v of
+    level d has p^d | M_F v, so its lifts v + p^d w all have F = F(v) mod
+    p^(2d).  The residues taken by levels 1..d form classes mod p^(2d-1),
+    so once F(v) mod p^(2d-1) is taken, every m = F(v) mod p^(2d) is, the
+    subtree of v cannot change first, and v is not split.  Every class of
+    level d + 1 thus lies at a residue no shallower level has taken, and
+    rows holds only rows that first references.
     """
     m = form.gram_doubled()
     e3 = _smith_e3(form, p)
+    j = 2 * e3 + 1
     r = np.arange(p, dtype=np.int64)
     offs = [a.ravel() for a in np.meshgrid(r, r, r, indexing="ij")]
     v = [a[1:] for a in offs]  # primitive classes mod p: drop the zero vector
-    levels = []
+    first = np.full(p**j, -1, dtype=np.int32)
+    rows, depth = [], []
+    top = 0
     d = 1
     while v[0].size:
         if d > e3 + 1:
             raise AssertionError(f"class splitting past elementary divisor bound at {form}, p={p}")
         grad = [m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2] for i in range(3)]
         decided = (grad[0] % p**d != 0) | (grad[1] % p**d != 0) | (grad[2] % p**d != 0)
-        rows = np.flatnonzero(decided)
-        if rows.size:
-            mod = p ** (2 * d - 1)
-            res = (v[0][rows] * grad[0][rows] + v[1][rows] * grad[1][rows]
-                   + v[2][rows] * grad[2][rows]) // 2 % mod
-            # the first decided row of each residue, without sorting
-            first = np.full(mod, rows.size)
-            np.minimum.at(first, res, np.arange(rows.size))
-            vals = np.flatnonzero(first < rows.size)
-            keep = rows[first[vals]]
-            levels.append((d, np.stack([a[keep] for a in v], axis=1), vals))
-        v = [a[~decided] for a in v]
+        mod = p ** (2 * d - 1)
+        res = (v[0] * grad[0] + v[1] * grad[1] + v[2] * grad[2]) // 2 % mod
+        new = np.flatnonzero(decided)
+        if new.size:
+            # the first decided class of each residue, without sorting
+            lead = np.full(mod, new.size)
+            np.minimum.at(lead, res[new], np.arange(new.size))
+            vals = np.flatnonzero(lead < new.size)
+            rows.append(np.stack([a[new[lead[vals]]] for a in v], axis=1))
+            depth.append(np.full(vals.size, d))
+            first.reshape(p**j // mod, mod)[:, vals] = np.arange(top, top + vals.size)
+            top += vals.size
+        live = ~decided & (first[res] < 0)
+        v = [a[live] for a in v]
         if v[0].size:
             v = [(a[:, None] + p**d * o[None, :]).ravel() for a, o in zip(v, offs)]
         d += 1
-    j = 2 * e3 + 1
-    rows = np.concatenate([vecs for _d, vecs, _vals in levels])
-    depth = np.concatenate([np.full(vals.size, d) for d, _v, vals in levels])
-    first = np.full(p**j, -1, dtype=np.min_scalar_type(-len(rows)))
-    top = len(rows)
-    for d, _v, vals in reversed(levels):
-        mod = p ** (2 * d - 1)
-        top -= vals.size
-        first.reshape(p**j // mod, mod)[:, vals] = np.arange(top, top + vals.size)
+    first = first.astype(np.min_scalar_type(-top))
+    rows, depth = np.concatenate(rows), np.concatenate(depth)
     for a in (first, rows, depth):
         a.setflags(write=False)
     return j, first, rows, depth

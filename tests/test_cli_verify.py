@@ -394,27 +394,40 @@ class TestMemoryCap:
         assert err.startswith(f"error: {command} to {n} needs about ")
 
     def test_counts_every_worker(self, capsys, catalog, monkeypatch):
+        # memory for exactly one worker's larger phase runs --jobs 1 and
+        # refuses --jobs 2; one byte less refuses both
         scan = max(scan_bytes(rec.sgi_forms[0], 300) for rec in catalog.records)
-        one = cli_verify._BYTES_PER_N["verify"] * 300 + scan
-        monkeypatch.setattr(cli_verify, "_available_memory", lambda: one)
-        assert run(capsys, "verify", "all", "--bound", "300")[0] == 0
-        code, out, err = run(capsys, "verify", "all", "--bound", "300", "--jobs", "2")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: verify to 300 needs about ")
+        one = max(cli_verify._SCAN_BYTES_PER_N["verify"] * 300 + scan, cli_verify._BYTES_PER_N["verify"] * 300)
+        for spare in (0, -1):
+            monkeypatch.setattr(cli_verify, "_available_memory", lambda avail=one + spare: avail)
+            for jobs in ("1", "2"):
+                code, out, err = run(capsys, "verify", "all", "--bound", "300", "--jobs", jobs)
+                if jobs == "1" and spare == 0:
+                    assert code == 0
+                else:
+                    assert (code, out) == (2, "")
+                    assert err.startswith("error: verify to 300 needs about ")
 
     def test_counts_the_widest_scan(self, catalog, monkeypatch):
         # 1,1,1,1,1,1 scans about 6 slab points per n, B11's first form
-        # 0.04: memory that holds B11's run refuses the wide form's
+        # 0.04: a verify to n peaks after B11's scan but during the wide
+        # form's, and the larger phase of the widest form sets the need
         n = 100000
         narrow, wide = catalog.lookup("B11").sgi_forms[0], TernaryForm(1, 1, 1, 1, 1, 1)
-        per_n = cli_verify._BYTES_PER_N["classify"] * n
-        assert scan_bytes(wide, n) > 3 * per_n
-        monkeypatch.setattr(cli_verify, "_available_memory", lambda: per_n + scan_bytes(narrow, n))
-        cli_verify._check_memory("classify", n, forms=[narrow])
-        with pytest.raises(ValueError, match=f"^classify to {n} needs about "):
-            cli_verify._check_memory("classify", n, forms=[narrow, wide])
-        with pytest.raises(ValueError, match=f"^verify to {n} needs about "):
-            cli_verify._check_memory("verify", n, 2, forms=[narrow])
+        after = cli_verify._BYTES_PER_N["verify"] * n
+        narrow_scan, wide_scan = (
+            cli_verify._SCAN_BYTES_PER_N["verify"] * n + scan_bytes(form, n) for form in (narrow, wide)
+        )
+        assert narrow_scan < after < wide_scan
+        refused = f"^verify to {n} needs about "
+        for forms, need in (([narrow], after), ([narrow, wide], wide_scan)):
+            monkeypatch.setattr(cli_verify, "_available_memory", lambda avail=need: avail)
+            cli_verify._check_memory("verify", n, forms=forms)
+            with pytest.raises(ValueError, match=refused):
+                cli_verify._check_memory("verify", n, 2, forms=forms)
+            monkeypatch.setattr(cli_verify, "_available_memory", lambda avail=need - 1: avail)
+            with pytest.raises(ValueError, match=refused):
+                cli_verify._check_memory("verify", n, forms=forms)
 
     def test_report_refusal_leaves_output_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli_verify, "_available_memory", lambda: 0)

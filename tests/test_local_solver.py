@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from spinor_ternary import load_default_catalog
 from spinor_ternary.catalog import LocalSplitting
-from spinor_ternary.forms_core import TernaryForm, evaluate, represented_mask
+from spinor_ternary.forms_core import TernaryForm, evaluate, is_positive_definite, represented_mask
 from spinor_ternary.local_solver import (
     _class_tree,
+    _smith_e3,
     genus_mask,
     genus_represents,
     lemma71_excluded,
@@ -39,6 +40,65 @@ RAMIFIED = [
     for rec in load_default_catalog().records
     for p in rec.ramified_primes()
 ]
+
+
+def unpruned_class_tree(form: TernaryForm, p: int):
+    """The class tree before pruning, as a reference: every undecided class
+    is split down to its level, and the levels are written deepest first,
+    so a shallower one overwrites."""
+    m = form.gram_doubled()
+    e3 = _smith_e3(form, p)
+    r = np.arange(p, dtype=np.int64)
+    offs = [a.ravel() for a in np.meshgrid(r, r, r, indexing="ij")]
+    v = [a[1:] for a in offs]
+    levels = []
+    d = 1
+    while v[0].size:
+        if d > e3 + 1:
+            raise AssertionError(f"class splitting past elementary divisor bound at {form}, p={p}")
+        grad = [m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2] for i in range(3)]
+        decided = (grad[0] % p**d != 0) | (grad[1] % p**d != 0) | (grad[2] % p**d != 0)
+        rows = np.flatnonzero(decided)
+        if rows.size:
+            mod = p ** (2 * d - 1)
+            res = (v[0][rows] * grad[0][rows] + v[1][rows] * grad[1][rows]
+                   + v[2][rows] * grad[2][rows]) // 2 % mod
+            first = np.full(mod, rows.size)
+            np.minimum.at(first, res, np.arange(rows.size))
+            vals = np.flatnonzero(first < rows.size)
+            keep = rows[first[vals]]
+            levels.append((d, np.stack([a[keep] for a in v], axis=1), vals))
+        v = [a[~decided] for a in v]
+        if v[0].size:
+            v = [(a[:, None] + p**d * o[None, :]).ravel() for a, o in zip(v, offs)]
+        d += 1
+    j = 2 * e3 + 1
+    rows = np.concatenate([vecs for _d, vecs, _vals in levels])
+    depth = np.concatenate([np.full(vals.size, d) for d, _v, vals in levels])
+    first = np.full(p**j, -1, dtype=np.min_scalar_type(-len(rows)))
+    top = len(rows)
+    for d, _v, vals in reversed(levels):
+        mod = p ** (2 * d - 1)
+        top -= vals.size
+        first.reshape(p**j // mod, mod)[:, vals] = np.arange(top, top + vals.size)
+    return j, first, rows, depth
+
+
+def random_reduced_forms(count: int, seed: int):
+    """(form, p) pairs: seeded reduced positive definite forms with small
+    coefficients, p cycling through 2, 3, 5 and dividing det M_F."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        p = (2, 3, 5)[len(out) % 3]
+        a = int(rng.integers(1, 7))
+        b = int(rng.integers(a, 9))
+        c = int(rng.integers(b, 11))
+        d, e, f = (int(rng.integers(-lim, lim + 1)) for lim in (b, a, a))
+        form = TernaryForm(a, b, c, d, e, f)
+        if is_positive_definite(form) and form.gram_det() % p == 0:
+            out.append((form, p))
+    return out
 
 
 class TestShortcut:
@@ -204,7 +264,9 @@ class TestClassTree:
                 assert (grad % p ** (d - 1) == 0).all(), (form, p, d)
                 assert (grad % p**d != 0).any(axis=1).all(), (form, p, d)
                 rows += vals.size
-        assert rows == 3399
+            # the table keeps no row that no residue reads
+            assert np.array_equal(np.unique(_first[_first >= 0]), np.arange(len(vecs))), (form, p)
+        assert rows == 753
 
     def test_first_level_wins(self):
         # first[m] is a row accepting m from the shallowest level that has
@@ -227,6 +289,30 @@ class TestClassTree:
             i = first[got].astype(np.int64)
             assert np.array_equal(depth[i], shallowest[got]), (form, p)
             assert ((vals[i] - m[got]) % p ** (2 * depth[i] - 1) == 0).all(), (form, p)
+
+    @pytest.mark.parametrize("pairs", ("catalog", "random"))
+    def test_matches_unpruned_tree(self, catalog, pairs):
+        # the pruned tree reads the same row at every residue as the tree
+        # that splits every undecided class down to its level
+        if pairs == "catalog":
+            cases = [
+                (form, p)
+                for rec in catalog.records
+                for form in rec.all_forms()
+                for p in rec.ramified_primes()
+            ]
+            assert len(cases) == 124
+        else:
+            cases = random_reduced_forms(50, seed=19)
+        for form, p in cases:
+            j, first, rows, depth = _class_tree(form, p)
+            want_j, want_first, want_rows, want_depth = unpruned_class_tree(form, p)
+            assert j == want_j, (form, p)
+            hit = first >= 0
+            assert np.array_equal(hit, want_first >= 0), (form, p)
+            assert np.array_equal(rows[first[hit]], want_rows[want_first[hit]]), (form, p)
+            assert np.array_equal(depth[first[hit]], want_depth[want_first[hit]]), (form, p)
+            assert np.array_equal(np.unique(first[hit]), np.arange(len(rows))), (form, p)
 
     def test_verdicts_pinned(self):
         # sha256 of the verdicts before the tree kept one class per residue:
