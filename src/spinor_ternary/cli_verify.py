@@ -24,7 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from .catalog import CatalogFile, GenusRecord, dumps, load_catalog, load_default_catalog
-from .forms_core import BoundOverflowError, enumerate_represented, represented_mask, scan_bytes
+from .forms_core import BLOCK_BYTES, BoundOverflowError, enumerate_represented, represented_mask
 from .local_solver import first_failing_prime, local_represents, unramified_shortcut
 from .spinor_theory import (
     EXCEPTIONAL,
@@ -41,16 +41,14 @@ from .spinor_theory import (
 
 DEFAULT_BOUND = 50000
 
-# Peak bytes per n of one process after its scan, measured as the slope of
-# its peak RSS between two bounds on a record whose slab is small (B11's
-# first form: 0.04 slab points per n; Python 3.11, numpy 2.4): verify 40
+# Peak bytes per n of one process, measured as the slope of its peak RSS
+# between two bounds on B11's first form (Python 3.11, numpy 2.4): verify 40
 # (the member and route masks; 8e5 -> 3.2e6), report 198 (a str per n;
 # 1e5 -> 3e5), classify 10 (the key and member mask; 1e6 -> 4e6) and
-# exceptional-list 2 (1e6 -> 4e6).  The cap adds about a fifth.
+# exceptional-list 2 (1e6 -> 4e6).  The cap adds about a fifth.  Each is at
+# least the scan's own per-n array (1 for verify's mask, 8 for the keyed
+# scan's key), so with forms_core.BLOCK_BYTES it bounds the scan too.
 _BYTES_PER_N = {"verify": 48, "report": 240, "classify": 12, "exceptional-list": 4}
-# Per-n bytes alive during the scan, besides its slab and block
-# (forms_core.scan_bytes): verify's member mask, the keyed scan's int64 key.
-_SCAN_BYTES_PER_N = {"verify": 1, "report": 8, "classify": 8}
 
 __all__ = [
     "VerificationReport",
@@ -193,14 +191,13 @@ def _available_memory() -> int | None:
     return None
 
 
-def _check_memory(command: str, n: int, workers: int = 1, forms=()) -> None:
-    """Refuse, before any per-n array exists, a run to n whose estimated
-    peak exceeds the memory available: per worker, the larger of its two
-    phases, the scan of the widest form it enumerates (the scan's per-n
-    array, slab and block) and the per-n arrays built after the scan has
-    freed its slab and block."""
-    scan = max((_SCAN_BYTES_PER_N[command] * n + scan_bytes(form, n) for form in forms), default=0)
-    need = max(scan, _BYTES_PER_N[command] * n) * workers
+def _check_bound(command: str, n: int, workers: int = 1) -> None:
+    """Refuse, before any per-n array exists or any worker starts, a bound
+    n below 1, or one whose estimated peak exceeds the memory available:
+    per worker, its per-n bytes and one scan block."""
+    if n < 1:
+        raise ValueError("bound must be >= 1")
+    need = (_BYTES_PER_N[command] * n + BLOCK_BYTES) * workers
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ValueError(
@@ -219,7 +216,7 @@ def cmd_classify(catalog: CatalogFile, args) -> int:
     rec = catalog.lookup(args.record)
     # the witness is the least solution, so enumerating up to n suffices
     bound = max(args.n, 1)
-    _check_memory("classify", bound, forms=rec.sgi_forms[:1])
+    _check_bound("classify", bound)
     result = classify(rec, args.n, enumerate_represented(rec.sgi_forms[0], bound))
     if result.verdict == REPRESENTED:
         w = result.witness
@@ -240,7 +237,7 @@ def cmd_verify(catalog: CatalogFile, args) -> int:
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     records = _records_for(catalog, args.record)
-    _check_memory("verify", args.bound, args.jobs, [rec.sgi_forms[0] for rec in records])
+    _check_bound("verify", args.bound, args.jobs)
     reports = verify_records(records, args.bound, args.jobs)
     ok = True
     for rep in reports:
@@ -271,9 +268,7 @@ def cmd_local(catalog: CatalogFile, args) -> int:
 
 def cmd_exceptional_list(catalog: CatalogFile, args) -> int:
     rec = catalog.lookup(args.record)
-    if args.bound < 1:
-        raise ValueError("bound must be >= 1")
-    _check_memory("exceptional-list", args.bound)
+    _check_bound("exceptional-list", args.bound)
     for n in np.flatnonzero(squareclass_mask(rec.exceptional_spec, args.bound)):
         print(int(n))
     return 0
@@ -282,9 +277,7 @@ def cmd_exceptional_list(catalog: CatalogFile, args) -> int:
 def cmd_report(catalog: CatalogFile, args) -> int:
     records = _records_for(catalog, args.record)
     # checked before --output is opened, so a bad bound leaves the file as it was
-    if args.bound < 1:
-        raise ValueError("bound must be >= 1")
-    _check_memory("report", args.bound, forms=[rec.sgi_forms[0] for rec in records])
+    _check_bound("report", args.bound)
     if args.output is None:
         bad = write_report(records, args.bound, sys.stdout)
     else:

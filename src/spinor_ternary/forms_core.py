@@ -10,12 +10,14 @@ decisions route through the doubled Gram matrix
 and the identity x^T M_F x = 2 F(x), so non-classic forms (odd d, e or f)
 never require half-integers.
 
-Enumeration evaluates F on a block of whole x slices per numpy pass, in
-int32 when the box's bound on |F| is below 2^31 and in int64 otherwise;
-the keys and witnesses do not depend on the block or the width.  It scans
-one point per sign orbit that fixes x: the least witness has y <= 0 when
-f = 0 and d or e is 0 ((x, -y, z) or (x, -y, -z) keeps F), and z <= 0 when
-d = e = 0 ((x, y, -z) keeps F), as the mirror of any other is smaller.
+Enumeration evaluates F on a block of at most _BLOCK_POINTS points per
+numpy pass (_blocks), in int32 when the box's bound on |F| is below 2^31
+and in int64 otherwise, so it holds at most BLOCK_BYTES besides its per-n
+arrays; the keys and witnesses depend neither on the blocks, nor on their
+order, nor on the width.  It scans one point per sign orbit that fixes x:
+the least witness has y <= 0 when f = 0 and d or e is 0 ((x, -y, z) or
+(x, -y, -z) keeps F), and z <= 0 when d = e = 0 ((x, y, -z) keeps F), as
+the mirror of any other is smaller.
 
 Both scans share the guards, the box, the sign rules and the blocks, and
 differ only in what a block leaves behind.  enumerate_represented keeps
@@ -43,14 +45,18 @@ __all__ = [
     "is_positive_definite",
     "enumerate_represented",
     "represented_mask",
-    "scan_bytes",
+    "BLOCK_BYTES",
 ]
 
 # Intermediates in enumeration must stay well inside signed 64-bit.
 _INT64_GUARD = 1 << 62
-# Points per numpy pass of the scan: a block of whole x slices this size
-# stays in cache (1 << 18 was slower at bound 1e4).
+# Points per numpy pass of the scan: a block this size stays in cache
+# (1 << 18 was slower at bound 1e4).
 _BLOCK_POINTS = 1 << 16
+# Peak bytes a scan holds besides its per-n arrays: per block point at int64
+# width, the chunk's (y, z) values, F and the filter, and in the keyed scan
+# the in-range positions, F and keys (8 + 8 + 1 + 3 * 8).
+BLOCK_BYTES = 41 * _BLOCK_POINTS
 # key of an n that no vector gives
 _NO_KEY = np.iinfo(np.int64).max
 
@@ -218,38 +224,31 @@ def _scan_box(form: TernaryForm, bound: int):
 
 
 def _blocks(form: TernaryForm, box):
-    """Yield (x0, flat): F on a block of whole x slices from x0, ravelled
-    in scan order (x, then y, then z ascending); about _BLOCK_POINTS points
-    per block, or one slice when a slice is larger."""
+    """Yield (start, flat): F on a block ravelled in scan order (x, then y,
+    then z ascending), flat[i] at scan position start + i.  The (y, z) slab
+    is cut into chunks of whole y rows of at most _BLOCK_POINTS points, and
+    a block is one chunk of one x slice, or whole x slices when the slab is
+    one chunk.  A row alone passes _BLOCK_POINTS only when nz > 65 536, at
+    bounds near 1e9."""
     a, b, c, d, e, f = form.coeffs()
     x1, x2, x3, ny, nz, dtype = box
-    ys = np.arange(-x2, ny - x2, dtype=np.int64)
     zs = np.arange(-x3, nz - x3, dtype=np.int64)
-    col = (b * ys * ys)[:, None] + d * ys[:, None] * zs[None, :] + (c * zs * zs)[None, :]
-    col = col.astype(dtype)
-    step = max(1, _BLOCK_POINTS // col.size)
-    for x0 in range(0, x1 + 1, step):
-        xs = np.arange(x0, min(x0 + step, x1 + 1), dtype=np.int64)[:, None]
-        # int64 first: a coefficient may pass int32 where its coordinate is only 0
-        row = (a * xs * xs + f * xs * ys).astype(dtype)
-        ez = (e * xs * zs).astype(dtype)
-        vals = col + row[:, :, None]
-        vals += ez[:, None, :]
-        yield x0, vals.ravel()
-
-
-def scan_bytes(form: TernaryForm, bound: int) -> int:
-    """Peak bytes that a scan of form to bound holds besides its per-n
-    array, from the box alone (no array is allocated): the slab of (y, z)
-    values, and per block point its F, the filter and, in the keyed scan
-    (the larger), the gathered F, position and key.  A block is at least
-    a slab, so this also covers the slab's build from two int64
-    temporaries."""
-    x1, _, _, ny, nz, dtype = _scan_box(form, bound)
-    slab = ny * nz
-    block = slab * min(x1 + 1, max(1, _BLOCK_POINTS // slab))
-    width = np.dtype(dtype).itemsize
-    return width * slab + (2 * width + 17) * block
+    rows = min(ny, max(1, _BLOCK_POINTS // nz))
+    # several x slices per block only when one chunk is the whole slab, so
+    # each block's positions are contiguous
+    step = max(1, _BLOCK_POINTS // (rows * nz))
+    for y0 in range(0, ny, rows):
+        ys = np.arange(y0 - x2, min(y0 + rows, ny) - x2, dtype=np.int64)
+        col = (b * ys * ys)[:, None] + d * ys[:, None] * zs[None, :] + (c * zs * zs)[None, :]
+        col = col.astype(dtype)
+        for x0 in range(0, x1 + 1, step):
+            xs = np.arange(x0, min(x0 + step, x1 + 1), dtype=np.int64)[:, None]
+            # int64 first: a coefficient may pass int32 where its coordinate is only 0
+            row = (a * xs * xs + f * xs * ys).astype(dtype)
+            ez = (e * xs * zs).astype(dtype)
+            vals = col + row[:, :, None]
+            vals += ez[:, None, :]
+            yield (x0 * ny + y0) * nz, vals.ravel()
 
 
 def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
@@ -261,12 +260,11 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     """
     box = _scan_box(form, bound)
     _, x2, x3, ny, nz, _ = box
-    slab = ny * nz
     key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
-    for x0, flat in _blocks(form, box):
+    for start, flat in _blocks(form, box):
         # F >= 0 on the box, and F = 0 only at the origin (key[0] reset below)
         pos = np.flatnonzero(flat <= bound)
-        np.minimum.at(key, flat[pos], x0 * slab + pos)
+        np.minimum.at(key, flat[pos], start + pos)
     key[0] = _NO_KEY
     return RepresentedSet(bound, key, (x2, x3, ny, nz))
 

@@ -219,6 +219,20 @@ def _unramified_witness(form: TernaryForm, p: int, m: int) -> tuple[int, int, in
     raise AssertionError(f"no conic point mod {p} for {form}")
 
 
+def _accepting_row(form: TernaryForm, p: int, n: int) -> tuple[int, int] | None:
+    """(j, i): the least j with n / p^(2j) primitively represented, and
+    the table row i accepting it; None when no p^(2j) | n gives one."""
+    big_j, first, _rows, _depth = _class_tree(form, p)
+    j = 0
+    # Python ints throughout, so any n is exact
+    while (i := int(first[n % p**big_j])) < 0:
+        if n % (p * p):
+            return None
+        n //= p * p
+        j += 1
+    return j, i
+
+
 def local_represents(form: TernaryForm, p: int, n: int) -> LocalVerdict:
     """Decide n -> L_p with a Hensel certificate either way."""
     if n < 1:
@@ -228,16 +242,15 @@ def local_represents(form: TernaryForm, p: int, n: int) -> LocalVerdict:
         v = _unramified_witness(form, p, n)
         return LocalVerdict(p, n, True, residue=v, precision=0, grad_ord=0)
 
-    big_j, first, rows, depth = _class_tree(form, p)
-    for j in range(ord_p(p, n) // 2 + 1):
-        # Python ints throughout, so any n is exact
-        i = int(first[n // p ** (2 * j) % p**big_j])
-        if i >= 0:
-            res = tuple(p**j * int(t) for t in rows[i])
-            k = j + int(depth[i]) - 1
-            return LocalVerdict(p, n, True, residue=res, precision=k, grad_ord=k)
-    exhaust = 2 * (ord_p(p, 2 * n * form.gram_det()) // 2) + 1
-    return LocalVerdict(p, n, False, precision=exhaust)
+    hit = _accepting_row(form, p, n)
+    if hit is None:
+        exhaust = 2 * (ord_p(p, 2 * n * form.gram_det()) // 2) + 1
+        return LocalVerdict(p, n, False, precision=exhaust)
+    j, i = hit
+    _big_j, _first, rows, depth = _class_tree(form, p)
+    res = tuple(p**j * int(t) for t in rows[i])
+    k = j + int(depth[i]) - 1
+    return LocalVerdict(p, n, True, residue=res, precision=k, grad_ord=k)
 
 
 def verify_certificate(form: TernaryForm, verdict: LocalVerdict) -> bool:
@@ -260,16 +273,7 @@ def locally_represented(form: TernaryForm, p: int, n: int) -> bool:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_prime(p)
-    if unramified_shortcut(form, p):
-        return True
-    j, first, _rows, _depth = _class_tree(form, p)
-    mod = p**j
-    while True:
-        if first[n % mod] >= 0:
-            return True
-        if n % (p * p):
-            return False
-        n //= p * p
+    return unramified_shortcut(form, p) or _accepting_row(form, p, n) is not None
 
 
 def local_mask(form: TernaryForm, p: int, bound: int) -> np.ndarray:

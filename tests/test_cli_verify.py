@@ -10,7 +10,7 @@ import pytest
 from spinor_ternary import cli_verify, local_solver, spinor_theory
 from spinor_ternary.catalog import dumps, loads
 from spinor_ternary.cli_verify import main, verify_record
-from spinor_ternary.forms_core import TernaryForm, enumerate_represented, represented_mask, scan_bytes
+from spinor_ternary.forms_core import BLOCK_BYTES, enumerate_represented, represented_mask
 from spinor_ternary.local_solver import genus_mask, genus_represents
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
@@ -329,6 +329,17 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: --jobs must be between 1 and")
 
+    @pytest.mark.parametrize("argv", ("verify A1 --bound 0", "verify all --bound -5 --jobs 2"))
+    def test_bound_below_one(self, capsys, monkeypatch, argv):
+        # refused before the memory cap and before any worker starts: either
+        # would end in another message
+        monkeypatch.setattr(cli_verify, "_available_memory", lambda: 0)
+        monkeypatch.setattr(cli_verify, "Pool", None)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err == "error: bound must be >= 1\n"
+
     def test_represented_but_not_genus_represented_fails(self, capsys, monkeypatch):
         # a genus test that wrongly drops represented n must fail every record
         real = local_solver.local_mask
@@ -393,11 +404,10 @@ class TestMemoryCap:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {command} to {n} needs about ")
 
-    def test_counts_every_worker(self, capsys, catalog, monkeypatch):
-        # memory for exactly one worker's larger phase runs --jobs 1 and
-        # refuses --jobs 2; one byte less refuses both
-        scan = max(scan_bytes(rec.sgi_forms[0], 300) for rec in catalog.records)
-        one = max(cli_verify._SCAN_BYTES_PER_N["verify"] * 300 + scan, cli_verify._BYTES_PER_N["verify"] * 300)
+    def test_counts_every_worker(self, capsys, monkeypatch):
+        # memory for exactly one worker's per-n bytes and scan block runs
+        # --jobs 1 and refuses --jobs 2; one byte less refuses both
+        one = cli_verify._BYTES_PER_N["verify"] * 300 + BLOCK_BYTES
         for spare in (0, -1):
             monkeypatch.setattr(cli_verify, "_available_memory", lambda avail=one + spare: avail)
             for jobs in ("1", "2"):
@@ -407,27 +417,6 @@ class TestMemoryCap:
                 else:
                     assert (code, out) == (2, "")
                     assert err.startswith("error: verify to 300 needs about ")
-
-    def test_counts_the_widest_scan(self, catalog, monkeypatch):
-        # 1,1,1,1,1,1 scans about 6 slab points per n, B11's first form
-        # 0.04: a verify to n peaks after B11's scan but during the wide
-        # form's, and the larger phase of the widest form sets the need
-        n = 100000
-        narrow, wide = catalog.lookup("B11").sgi_forms[0], TernaryForm(1, 1, 1, 1, 1, 1)
-        after = cli_verify._BYTES_PER_N["verify"] * n
-        narrow_scan, wide_scan = (
-            cli_verify._SCAN_BYTES_PER_N["verify"] * n + scan_bytes(form, n) for form in (narrow, wide)
-        )
-        assert narrow_scan < after < wide_scan
-        refused = f"^verify to {n} needs about "
-        for forms, need in (([narrow], after), ([narrow, wide], wide_scan)):
-            monkeypatch.setattr(cli_verify, "_available_memory", lambda avail=need: avail)
-            cli_verify._check_memory("verify", n, forms=forms)
-            with pytest.raises(ValueError, match=refused):
-                cli_verify._check_memory("verify", n, 2, forms=forms)
-            monkeypatch.setattr(cli_verify, "_available_memory", lambda avail=need - 1: avail)
-            with pytest.raises(ValueError, match=refused):
-                cli_verify._check_memory("verify", n, forms=forms)
 
     def test_report_refusal_leaves_output_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli_verify, "_available_memory", lambda: 0)

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spinor_ternary import forms_core
 from spinor_ternary.forms_core import (
+    BLOCK_BYTES,
     BoundOverflowError,
     DefinitenessError,
     TernaryForm,
@@ -26,7 +28,6 @@ from spinor_ternary.forms_core import (
     evaluate,
     is_positive_definite,
     represented_mask,
-    scan_bytes,
 )
 
 small_int = st.integers(-9, 9)
@@ -328,18 +329,37 @@ class TestRepresentedMask:
     def test_same_guards_as_keyed_scan(self, form, bound, error):
         with pytest.raises(error) as keyed:
             enumerate_represented(form, bound)
-        for other in (represented_mask, scan_bytes):
-            with pytest.raises(error) as got:
-                other(form, bound)
-            assert type(got.value) is type(keyed.value)
-            assert str(got.value) == str(keyed.value)
+        with pytest.raises(error) as got:
+            represented_mask(form, bound)
+        assert type(got.value) is type(keyed.value)
+        assert str(got.value) == str(keyed.value)
+
+
+class TestBlocks:
+    """Chunks of y rows, a partial last chunk and whole-slab blocks of
+    several x slices: the keys and members do not depend on the block."""
+
+    @pytest.mark.parametrize("points, bound", ((1, 48), (7, 121), (64, 1000), (4096, 1000)))
+    def test_every_chunk_shape_matches_slice_scan(self, catalog, monkeypatch, points, bound):
+        # 1: one row of nz > 1 points per block; 7 and 64: chunks of a few
+        # rows, the last one shorter; 4096: several whole x slices per block
+        monkeypatch.setattr(forms_core, "_BLOCK_POINTS", points)
+        for rec in catalog.records:
+            for form in rec.all_forms():
+                assert_matches_slice_scan(form, bound)
+                assert_mask_matches_keyed_scan(form, bound)
 
 
 class TestScanBytes:
+    """The scan holds at most one block besides its per-n arrays."""
+
     @pytest.mark.parametrize("form, bound", (
         # about 6 slab points per n, the widest reduced form
         (TernaryForm(1, 1, 1, 1, 1, 1), 20000),
         *PAST_A_BLOCK_AND_INT32[:2],
+        # slabs of about 300 000 points: five chunks each
+        (TernaryForm(2, 2, 5, 2, 2, 0), 200000),
+        (TernaryForm(1, 1, 1, 1, 1, 1), 50000),
     ))
     @pytest.mark.parametrize("scan", (enumerate_represented, represented_mask))
     def test_bounds_the_traced_peak(self, form, bound, scan):
@@ -352,4 +372,4 @@ class TestScanBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - per_n <= scan_bytes(form, bound)
+        assert peak - per_n <= BLOCK_BYTES
