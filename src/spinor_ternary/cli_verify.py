@@ -40,15 +40,16 @@ from .spinor_theory import (
 )
 
 DEFAULT_BOUND = 50000
+_ROWS = 1 << 12  # rows that write_report formats and writes at a time
 
-# Peak bytes per n of one process, measured as the slope of its peak RSS
-# between two bounds on B11's first form (Python 3.11, numpy 2.4): verify 40
-# (the member and route masks; 8e5 -> 3.2e6), report 198 (a str per n;
-# 1e5 -> 3e5), classify 10 (the key and member mask; 1e6 -> 4e6) and
-# exceptional-list 2 (1e6 -> 4e6).  The cap adds about a fifth.  Each is at
+# Peak bytes per n of one process: the slope of its peak RSS between two
+# bounds on B11's first form (Python 3.11, numpy 2.4).  verify 40 (member and
+# route masks; 8e5 -> 3.2e6), report 27 (key, masks and a detail per n, A1
+# alike; 1e5 -> 3e5), classify 10 (key and member mask; 1e6 -> 4e6),
+# exceptional-list 2 (1e6 -> 4e6); the cap adds about a fifth.  Each is at
 # least the scan's own per-n array (1 for verify's mask, 8 for the keyed
 # scan's key), so with forms_core.BLOCK_BYTES it bounds the scan too.
-_BYTES_PER_N = {"verify": 48, "report": 240, "classify": 12, "exceptional-list": 4}
+_BYTES_PER_N = {"verify": 48, "report": 33, "classify": 12, "exceptional-list": 4}
 
 __all__ = [
     "VerificationReport",
@@ -140,14 +141,15 @@ def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationRepor
 def write_report(records, bound: int, stream) -> int:
     """Tab-separated per-n verdicts, one block per record, read from
     `record_masks`: INCONSISTENT exactly where its findings fit no verdict.
-    Returns the number of INCONSISTENT rows (0 in a healthy run)."""
+    Rows are written _ROWS at a time, so no str or list spans more than a
+    slice.  Returns the number of INCONSISTENT rows (0 in a healthy run)."""
     total = 0
     for rec in records:
         rs = enumerate_represented(rec.sgi_forms[0], bound)
         rep = rs.member_mask()
         fail, idx, bad = record_masks(rec, bound, rep)
-        # verdict and detail of each n, then its whole row; slice assignment
-        # shares one str (np.full would copy it per n)
+        # the detail of every row but REPRESENTED; slice assignment shares
+        # one str (np.full would copy it per n)
         tail = np.empty(bound + 1, dtype=object)
         for p in rec.ramified_primes():
             tail[fail == p] = f"{LOCALLY_EXCLUDED}\tp={p}"
@@ -158,21 +160,19 @@ def write_report(records, bound: int, stream) -> int:
             matched = rec.exceptional_spec[idx[n]] if idx[n] >= 0 else None
             tail[n] = f"{INCONSISTENT}\t{inconsistency(bool(rep[n]), int(fail[n]) or None, matched)}"
         has_wit = rep & ~bad
-        wit = np.flatnonzero(has_wit[1:]) + 1
-        rest = np.flatnonzero(~has_wit[1:]) + 1
-        tail[wit] = [
-            f"{n}\t{REPRESENTED}\t({x},{y},{z})"
-            for n, x, y, z in zip(wit.tolist(), *(a.tolist() for a in rs.witnesses(wit)))
-        ]
-        tail[rest] = [f"{n}\t{v}" for n, v in zip(rest.tolist(), tail[rest].tolist())]
         ok = ~bad[1:]
         stream.write(
-            f"# record {rec.rid} bound={bound} represented={wit.size}"
+            f"# record {rec.rid} bound={bound} represented={int(has_wit[1:].sum())}"
             f" exceptional={int((ok & (idx[1:] >= 0)).sum())}"
             f" locally_excluded={int((ok & (fail[1:] != 0)).sum())}\n"
         )
-        stream.write("\n".join(tail[1:].tolist()))
-        stream.write("\n")
+        for lo in range(1, bound + 1, _ROWS):
+            rows = tail[lo:lo + _ROWS]
+            wit = np.flatnonzero(has_wit[lo:lo + _ROWS])
+            xyz = zip(*(a.tolist() for a in rs.witnesses(wit + lo)))
+            rows[wit] = [f"{REPRESENTED}\t({x},{y},{z})" for x, y, z in xyz]
+            stream.write("".join([f"{n}\t{detail}\n" for n, detail in enumerate(rows.tolist(), lo)]))
+            rows[:] = None
         total += int(bad.sum())
     return total
 

@@ -95,12 +95,12 @@ def lemma72_excluded(n):
 
 
 def lemma73_excluded(n):
-    """3-adic exclusions of the diagonal <1,3,9> structure: n = 2 mod 3,
-    or n = 9^k * m with m = 6 mod 9."""
-    m = n
-    while np.any(nine := (m % 9 == 0) & (m != 0)):
-        m = m // 9**nine
-    return (n % 3 == 2) | (m % 9 == 6)
+    """3-adic exclusions of the diagonal <1,3,9> structure: n = 2 mod 3, or
+    n = 9^k * m with m = 6 mod 9, one congruence n = 6*9^k mod 9^(k+1) per k."""
+    out, nine = n % 3 == 2, 1
+    while 6 * nine <= np.max(n, initial=0):
+        out, nine = out | (n % (9 * nine) == 6 * nine), 9 * nine
+    return out
 
 
 # ---------------------------------------------------------------------------

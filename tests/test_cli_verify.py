@@ -3,6 +3,7 @@ bulk verification masks behind the verify subcommand."""
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,6 +494,43 @@ class TestReportCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "edeaa63c62a79c47461f1e1ecc692df304cc57d45e9e9aefe0cb53b9e12fe0d1"
         )
+
+    @pytest.mark.parametrize("rows", (1, 7, 4096))
+    def test_same_bytes_for_every_slice(self, capsys, catalog, monkeypatch, tmp_path, rows):
+        # 1: a slice per row; 7: the defective catalog's INCONSISTENT row at
+        # n = 25 falls inside the slice 22..28, and the last slice is short;
+        # 4096: one slice past the bound
+        monkeypatch.setattr(cli_verify, "_ROWS", rows)
+        code, out, _ = run(capsys, "report", "all", "--bound", "300")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f0bb1459c3807592788d91695a507603b6e08caa378a0c5a410bc1e597ca8815"
+        )
+        path = tmp_path / "bad.txt"
+        path.write_text(dumps(catalog).replace("exceptional 3M3", "exceptional M1"))
+        code, out, _ = run(capsys, "--catalog", str(path), "report", "B3", "--bound", "300")
+        assert code == 1
+        assert out.splitlines()[25] == "25\tINCONSISTENT\trepresented, in s=1,t=1"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3e1133549c9b3684b7eddd54cee236b996635bcacc7fc935eb8282b5bfb5c866"
+        )
+
+    def test_holds_no_row_for_the_whole_bound(self, catalog):
+        # besides one scan block, the per-n arrays alone: the key, the masks
+        # and a detail pointer, well under the ~130 B/n of formatting every
+        # row before writing
+        bound = 100000
+        rec = catalog.lookup("B11")
+        with open(os.devnull, "w") as sink:
+            # the class tables are built once and cached
+            cli_verify.write_report([rec], 100, sink)
+            tracemalloc.start()
+            try:
+                cli_verify.write_report([rec], bound, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - BLOCK_BYTES <= 40 * bound
 
     def test_rows_match_pointwise_classify(self, capsys, catalog, tmp_path):
         # classify decides one n at a time (locally_represented,

@@ -142,6 +142,22 @@ class TestCongruencePredicates:
         assert not lemma73_excluded(12)
         assert not lemma73_excluded(30)
 
+    def test_lemma73_matches_peeled_powers_of_nine(self):
+        # the reference divides each 9^k out of n before reading m mod 9
+        def peeled(n):
+            m = n
+            while np.any(nine := (m % 9 == 0) & (m != 0)):
+                m = m // 9**nine
+            return (n % 3 == 2) | (m % 9 == 6)
+
+        n = np.arange(10**6 + 1)
+        assert np.array_equal(lemma73_excluded(n), peeled(n))
+        for k in range(31):
+            for c in (1, 2, 3, 6, 7):
+                for d in (-1, 0, 1):
+                    got = lemma73_excluded(c * 9**k + d)
+                    assert type(got) is bool and got == peeled(c * 9**k + d), (c, k, d)
+
 
 class TestLocalRepresents:
     def test_desk_verdicts(self):
