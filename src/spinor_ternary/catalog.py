@@ -105,19 +105,19 @@ class LocalSplitting:
 
 @dataclass(frozen=True)
 class LocalData:
-    """What the catalog knows about one ramified prime of a record."""
+    """What the catalog knows about one ramified prime of a record, the
+    prime being `splitting.p`.  At p = 2 the splitting of a form with an odd
+    cross coefficient (d, e or f) describes the lattice rescaled by 2."""
 
-    p: int
     splitting: LocalSplitting
     theta: tuple[int, ...]
     lam: int | None = None          # order cutoff at 2; groups A and B only
     subcase: str | None = None      # label of the tabulated 2-adic structure case
-    scaled: bool = False            # splitting describes the 2-scaled lattice
 
     @property
     def cutoff(self) -> int | None:
         """The spinor criterion's order cutoff, or None if none is tabulated."""
-        if self.p == 2:
+        if self.splitting.p == 2:
             return self.lam
         return _ODD_CUTOFFS.get(tuple(self.splitting.exponents()))
 
@@ -144,7 +144,6 @@ class GenusRecord:
 
 @dataclass(frozen=True)
 class CatalogFile:
-    version: int
     records: tuple[GenusRecord, ...]
 
     def lookup(self, rid: str) -> GenusRecord:
@@ -194,30 +193,29 @@ def _parse_local(rest: str, where: str) -> LocalData:
     theta = None
     lam = None
     subcase = None
-    scaled = False
     seen = set()
     for tok in toks[1:]:
         key, sep, val = tok.partition("=")
+        if not sep:
+            raise CatalogError(f"{where}: unknown token {tok!r}")
         if key in seen:
             raise CatalogError(f"{where}: duplicate {key} on the p={p} local line")
         seen.add(key)
-        if tok == "scaled":
-            scaled = True
-        elif key == "splitting" and sep:
+        if key == "splitting":
             splitting = _parse_splitting(p, val, where)
-        elif key == "theta" and sep:
+        elif key == "theta":
             if not (val.startswith("{") and val.endswith("}")):
                 raise CatalogError(f"{where}: theta wants {{..}}, got {val!r}")
             theta = tuple(_parse_int(x, "theta", where) for x in val[1:-1].split(","))
-        elif key == "lambda" and sep:
+        elif key == "lambda":
             lam = _parse_int(val, "lambda", where)
-        elif key == "subcase" and sep:
+        elif key == "subcase":
             subcase = val
         else:
             raise CatalogError(f"{where}: unknown token {tok!r}")
     if splitting is None or theta is None:
         raise CatalogError(f"{where}: local line needs splitting= and theta=")
-    return LocalData(p, splitting, theta, lam, subcase, scaled)
+    return LocalData(splitting, theta, lam, subcase)
 
 
 def _parse_exceptional(rest: str, where: str) -> tuple[tuple[int, int], ...]:
@@ -256,9 +254,8 @@ def _build_record(lines: list[tuple[int, str]]) -> GenusRecord:
             sgii.append(_parse_form(rest, where))
         elif key == "local":
             data = _parse_local(rest, where)
-            if data.p in local:
-                raise CatalogError(f"{where}: duplicate local line for p={data.p}")
-            local[data.p] = data
+            if local.setdefault(data.splitting.p, data) is not data:
+                raise CatalogError(f"{where}: duplicate local line for p={data.splitting.p}")
         elif key == "exceptional":
             exceptional = _parse_exceptional(rest, where)
         else:
@@ -269,7 +266,7 @@ def _build_record(lines: list[tuple[int, str]]) -> GenusRecord:
 
 
 def loads(text: str) -> CatalogFile:
-    version = None
+    header = False
     blocks: list[list[tuple[int, str]]] = []
     current: list[tuple[int, str]] = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -281,18 +278,17 @@ def loads(text: str) -> CatalogFile:
                 blocks.append(current)
                 current = []
             continue
-        if version is None:
+        if not header:
             if line != "version 1":
                 raise CatalogError(f"line {i}: expected 'version 1', got {line!r}")
-            version = 1
+            header = True
             continue
         current.append((i, line))
     if current:
         blocks.append(current)
-    if version is None:
+    if not header:
         raise CatalogError("missing version header")
-    records = tuple(_build_record(b) for b in blocks)
-    catalog = CatalogFile(version, records)
+    catalog = CatalogFile(tuple(_build_record(b) for b in blocks))
     _validate(catalog)
     return catalog
 
@@ -300,9 +296,9 @@ def loads(text: str) -> CatalogFile:
 # ------------------------------------------------------------- validation
 
 def _validate_local(rec: GenusRecord, data: LocalData) -> None:
-    p = data.p
-    where = f"record {rec.rid}, p={p}"
     s = data.splitting
+    p = s.p
+    where = f"record {rec.rid}, p={p}"
     if s.dimension() != 3:
         raise CatalogError(f"{where}: splitting dimension {s.dimension()} != 3")
     exps = s.exponents()
@@ -314,13 +310,9 @@ def _validate_local(rec: GenusRecord, data: LocalData) -> None:
                 raise CatalogError(f"{where}: non-unit diagonal {comp[1]}")
         elif p != 2:
             raise CatalogError(f"{where}: {comp[0]}-plane only makes sense at p=2")
-    if data.scaled and p != 2:
-        raise CatalogError(f"{where}: scaled flag only applies at p=2")
-    if p == 2:
-        classic = all(x % 2 == 0 for x in rec.sgi_forms[0].coeffs()[3:])
-        if data.scaled == classic:
-            raise CatalogError(f"{where}: scaled flag inconsistent with the form")
-    eff = 2 * rec.delta if data.scaled else rec.delta
+    # an odd cross coefficient: the 2-adic splitting is of the lattice scaled by 2
+    scaled = p == 2 and any(x % 2 for x in rec.sgi_forms[0].coeffs()[3:])
+    eff = 2 * rec.delta if scaled else rec.delta
     if not is_padic_square(p, s.gram_det() * eff):
         raise CatalogError(f"{where}: splitting determinant in the wrong squareclass")
     if 1 not in data.theta or not normgroup_is_closed(p, data.theta):
@@ -401,7 +393,7 @@ def _exc_token(s: int, t: int) -> str:
 
 
 def dumps(catalog: CatalogFile) -> str:
-    out = [f"version {catalog.version}"]
+    out = ["version 1"]
     for rec in catalog.records:
         out.append("")
         out.append(f"id {rec.rid}")
@@ -418,8 +410,6 @@ def dumps(catalog: CatalogFile) -> str:
                 line += f" lambda={data.lam}"
             if data.subcase is not None:
                 line += f" subcase={data.subcase}"
-            if data.scaled:
-                line += " scaled"
             out.append(line)
         out.append(
             "exceptional " + " ".join(_exc_token(s, t) for s, t in rec.exceptional_spec)

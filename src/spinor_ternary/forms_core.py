@@ -105,12 +105,9 @@ class TernaryForm:
         ]
 
     def gram_det(self) -> int:
-        m = self.gram_doubled()
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        """det(M_F), in closed form."""
+        a, b, c, d, e, f = self.coeffs()
+        return 8 * a * b * c + 2 * (d * e * f - a * d * d - b * e * e - c * f * f)
 
     def gradient(self, v: tuple[int, int, int]) -> tuple[int, int, int]:
         """(dF/dx, dF/dy, dF/dz) at v, i.e. M_F @ v."""
@@ -157,15 +154,15 @@ class RepresentedSet:
         self.bound = bound
         self._key = key  # int64, indexed by n, size bound+1
         self._box = box  # (x2, x3, ny, nz)
-        self._member = key != _NO_KEY
-        self._member.setflags(write=False)
 
     def __contains__(self, n: int) -> bool:
-        return 1 <= n <= self.bound and bool(self._member[n])
+        return 1 <= n <= self.bound and bool(self._key[n] != _NO_KEY)
 
     def member_mask(self) -> np.ndarray:
-        """Read-only bool array indexed by n (index 0 unused)."""
-        return self._member
+        """A fresh read-only bool array indexed by n (index 0 unused)."""
+        mask = self._key != _NO_KEY
+        mask.setflags(write=False)
+        return mask
 
     def witness(self, n: int) -> Witness | None:
         """The lexicographically least (x >= 0, y, z) with F = n."""
@@ -177,7 +174,7 @@ class RepresentedSet:
         """witness(n) for every n of the integer array ns, as arrays (x, y, z);
         every n must be in the set."""
         ns = np.asarray(ns, dtype=np.int64)
-        if ns.size and (ns.min() < 1 or ns.max() > self.bound or not self._member[ns].all()):
+        if ns.size and (ns.min() < 1 or ns.max() > self.bound or (self._key[ns] == _NO_KEY).any()):
             raise ValueError("witnesses asked for an n outside the set")
         return self._decode(self._key[ns])
 
@@ -256,7 +253,8 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
 
     Scans x >= 0 (F(-v) = F(v)) over the ellipsoid box less the sign
     mirrors (module docstring), and every n keeps the least scan position
-    that gives it.
+    that gives it.  The work follows the box, not the ellipsoid, so a skewed
+    (non-reduced) form can make the scan crawl; the catalog refuses one.
     """
     box = _scan_box(form, bound)
     _, x2, x3, ny, nz, _ = box
@@ -271,8 +269,9 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
 
 def represented_mask(form: TernaryForm, bound: int) -> np.ndarray:
     """Read-only bool array indexed by n (index 0 unused): True exactly
-    where enumerate_represented(form, bound) has a member.  The same scan
-    with no witnesses: each block marks its in-range values."""
+    where enumerate_represented(form, bound) has a member, by the same scan
+    of the same box (so a skewed form crawls here too) with no witnesses:
+    each block marks its in-range values."""
     box = _scan_box(form, bound)
     mask = np.zeros(bound + 1, dtype=bool)
     for _, flat in _blocks(form, box):

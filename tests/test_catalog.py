@@ -27,6 +27,11 @@ def doctored(catalog, old: str, new: str) -> str:
     return text.replace(old, new, 1)
 
 
+def odd_cross(form: TernaryForm) -> bool:
+    """Whether d, e or f is odd, so that the Gram matrix is half-integral."""
+    return any(x % 2 for x in form.coeffs()[3:])
+
+
 def odd_exponent_mismatches(catalog) -> list[tuple[str, int, TernaryForm, list[int]]]:
     """Every (record, odd p, form, orders) where the p-orders of the
     elementary divisors of M_F differ from the local line's splitting
@@ -64,7 +69,6 @@ class TestShape:
         data = rec.local_data[2]
         assert data.lam == 1
         assert data.theta == (1, 2, 5, 10)
-        assert not data.scaled
 
     def test_a12_class_counts(self, catalog):
         rec = catalog.lookup("A12")
@@ -79,11 +83,8 @@ class TestShape:
         assert catalog.lookup("C4").exceptional_spec == ((4, 7),)
 
     def test_scaled_flags(self, catalog):
-        scaled = {
-            rec.rid
-            for rec in catalog.records
-            if 2 in rec.local_data and rec.local_data[2].scaled
-        }
+        # the records whose 2-adic splitting describes the lattice rescaled by 2
+        scaled = {rec.rid for rec in catalog.records if odd_cross(rec.sgi_forms[0])}
         assert scaled == {"B1", "B2", "B3", "B4", "C1", "C2"}
 
     def test_lambda_presence_by_group(self, catalog):
@@ -227,10 +228,18 @@ class TestRejectedText:
              "record A1, p=2: splitting exponents not nondecreasing"),
             ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=H:0,1:2",
              "record B1, p=3: H-plane only makes sense at p=2"),
+            # a bare token, on an odd or a 2-adic line: the 2-adic scale is
+            # read off the form
             ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} scaled",
-             "record B1, p=3: scaled flag only applies at p=2"),
-            ("subcase=(b)(iii)\n", "subcase=(b)(iii) scaled\n",
-             "record A1, p=2: scaled flag inconsistent with the form"),
+             "record B1: unknown token 'scaled'"),
+            ("subcase=(b)(iii)\n", "subcase=(b)(iii) scaled\n", "record A1: unknown token 'scaled'"),
+            # the determinant enforces the scale: a splitting's determinant
+            # is in the squareclass of delta for A1's even form, and of
+            # 2 * delta for B1's odd one
+            ("splitting=1:0,1:0,1:4", "splitting=1:0,1:0,1:5",
+             "record A1, p=2: splitting determinant in the wrong squareclass"),
+            ("splitting=A:0,1:3", "splitting=A:0,1:2",
+             "record B1, p=2: splitting determinant in the wrong squareclass"),
             ("splitting=1:0,1:0,1:4", "splitting=1:0,3:0,1:4",
              "record A1, p=2: splitting determinant in the wrong squareclass"),
             (" lambda=1 ", " lambda=0 ", "record A1, p=2: lambda must be >= 1"),
@@ -268,8 +277,6 @@ class TestRejectedText:
             (" lambda=1 ", " lambda=1 lambda=2 ", "record A1: duplicate lambda on the p=2 local line"),
             ("subcase=(b)(iii)", "subcase=(b)(iii) subcase=(b)(i)",
              "record A1: duplicate subcase on the p=2 local line"),
-            ("subcase=(ii)(beta) scaled", "subcase=(ii)(beta) scaled scaled",
-             "record B1: duplicate scaled on the p=2 local line"),
         ],
     )
     def test_message(self, catalog, old, new, message):
@@ -281,13 +288,14 @@ class TestRejectedText:
 class TestLocalDataConsistency:
     def test_splitting_values_match_solver(self, catalog):
         # the stored Jordan splitting must predict the same local
-        # representability as the actual form; scaled splittings describe
-        # the lattice rescaled by 2, so their targets are doubled
+        # representability as the actual form; at p = 2 the splitting of a
+        # form with an odd cross coefficient describes the lattice rescaled
+        # by 2, so its targets are doubled
         for rec in catalog.records:
             form = rec.sgi_forms[0]
             for p, data in rec.local_data.items():
                 split_form = data.splitting.to_form()
-                mult = 2 if data.scaled else 1
+                mult = 2 if p == 2 and odd_cross(form) else 1
                 for n in range(1, 501):
                     assert locally_represented(form, p, n) == locally_represented(
                         split_form, p, mult * n

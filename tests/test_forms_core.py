@@ -165,6 +165,17 @@ class TestGram:
         # det(M_F) = 8abc + 2(def - ad^2 - be^2 - cf^2), so discriminant is exact
         assert TernaryForm(a, b, c, d, e, f).gram_det() % 2 == 0
 
+    @given(*[st.integers(-10**12, 10**12)] * 6)
+    def test_det_matches_cofactor_expansion(self, a, b, c, d, e, f):
+        form = TernaryForm(a, b, c, d, e, f)
+        m = form.gram_doubled()
+        want = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+        assert form.gram_det() == want
+
     def test_gradient(self):
         form = TernaryForm(2, 2, 5, 2, 2, 0)
         # gradient of F at v is M_F v

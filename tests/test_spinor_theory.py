@@ -106,7 +106,7 @@ class TestOddBound:
     @staticmethod
     def cutoff(exps):
         split = LocalSplitting(3, tuple(("diag", 1, e) for e in exps))
-        return LocalData(3, split, (1, 3)).cutoff
+        return LocalData(split, (1, 3)).cutoff
 
     def test_exponent_shapes(self):
         assert self.cutoff((0, 1, 2)) == 1
