@@ -43,13 +43,15 @@ DEFAULT_BOUND = 50000
 _ROWS = 1 << 12  # rows that write_report formats and writes at a time
 
 # Peak bytes per n of one process: the slope of its peak RSS between two
-# bounds on B11's first form (Python 3.11, numpy 2.4).  verify 40 (member and
-# route masks; 8e5 -> 3.2e6), report 27 (key, masks and a detail per n, A1
-# alike; 1e5 -> 3e5), classify 10 (key and member mask; 1e6 -> 4e6),
-# exceptional-list 2 (1e6 -> 4e6); the cap adds about a fifth.  Each is at
-# least the scan's own per-n array (1 for verify's mask, 8 for the keyed
-# scan's key), so with forms_core.BLOCK_BYTES it bounds the scan too.
-_BYTES_PER_N = {"verify": 48, "report": 33, "classify": 12, "exceptional-list": 4}
+# bounds on B11 (Python 3.11, numpy 2.4).  verify 24 (route masks and the
+# closed form, B4 alike; 8e5 -> 3.2e6; 9 on A12 and C4, whose peak is the
+# sumset's mask and 8 class rows, and 8 on the other 25 records), report 27
+# (key, masks and a detail per n, A1 alike; 1e5 -> 3e5), classify 10 (key
+# and member mask; 1e6 -> 4e6), exceptional-list 2 (1e6 -> 4e6); the cap
+# adds about a fifth.  Each is at least the scan's own per-n arrays (at most
+# 1 + 8 for verify's sumset, 8 for the keyed scan's key), so with
+# forms_core.BLOCK_BYTES it bounds the scan too.
+_BYTES_PER_N = {"verify": 29, "report": 33, "classify": 12, "exceptional-list": 4}
 
 __all__ = [
     "VerificationReport",

@@ -10,20 +10,22 @@ decisions route through the doubled Gram matrix
 and the identity x^T M_F x = 2 F(x), so non-classic forms (odd d, e or f)
 never require half-integers.
 
-Enumeration evaluates F on a block of at most _BLOCK_POINTS points per
-numpy pass (_blocks), in int32 when the box's bound on |F| is below 2^31
-and in int64 otherwise, so it holds at most BLOCK_BYTES besides its per-n
-arrays; the keys and witnesses depend neither on the blocks, nor on their
-order, nor on the width.  It scans one point per sign orbit that fixes x:
-the least witness has y <= 0 when f = 0 and d or e is 0 ((x, -y, z) or
-(x, -y, -z) keeps F), and z <= 0 when d = e = 0 ((x, y, -z) keeps F), as
-the mirror of any other is smaller.
+The keyed scan (enumerate_represented) evaluates F on a block of at most
+_BLOCK_POINTS points per numpy pass (_blocks), in int32 when the box's
+bound on |F| is below 2^31 and in int64 otherwise, so it holds at most
+BLOCK_BYTES besides its per-n arrays; the keys and witnesses depend
+neither on the blocks, nor on their order, nor on the width.  It scans
+one point per sign orbit that fixes x: the least witness has y <= 0 when
+f = 0 and d or e is 0 ((x, -y, z) or (x, -y, -z) keeps F), and z <= 0
+when d = e = 0 ((x, y, -z) keeps F), as the mirror of any other is
+smaller.  It keeps the least scan position of each n, the witness that
+`report` and `classify` print.
 
-Both scans share the guards, the box, the sign rules and the blocks, and
-differ only in what a block leaves behind.  enumerate_represented keeps
-the least scan position of each n, the witness that `report` and
-`classify` print; represented_mask only marks the n that occur, which is
-all that `verify` reads.
+represented_mask marks the n that occur, which is all that `verify`
+reads, with no scan of the box: rep(F) is a union of shifted values of
+binary forms (its docstring), built from O(bound) points of a (y, z) box
+in chunks within BLOCK_BYTES.  Both share _scan_box, so they refuse the
+same forms and bounds with the same messages.
 """
 
 from __future__ import annotations
@@ -55,10 +57,17 @@ _INT64_GUARD = 1 << 62
 _BLOCK_POINTS = 1 << 16
 # Peak bytes a scan holds besides its per-n arrays: per block point at int64
 # width, the chunk's (y, z) values, F and the filter, and in the keyed scan
-# the in-range positions, F and keys (8 + 8 + 1 + 3 * 8).
+# the in-range positions, F and keys (8 + 8 + 1 + 3 * 8).  A chunk of the
+# sumset holds less: r, h, the filter, and the scatter's positions and
+# their source (8 + 8 + 1 + 2 * 8).
 BLOCK_BYTES = 41 * _BLOCK_POINTS
 # key of an n that no vector gives
 _NO_KEY = np.iinfo(np.int64).max
+# Classes of w mod 2a that one pass of represented_mask holds
+_CLASS_ROWS = 8
+# (a, b, c, d, e, f) with x, y or z first, then the other two variables:
+# the first three indices also order the box radii (x1, x2, x3)
+_ISOLATE = ((0, 1, 2, 3, 4, 5), (1, 0, 2, 4, 3, 5), (2, 1, 0, 5, 4, 3))
 
 
 class DefinitenessError(ValueError):
@@ -267,15 +276,90 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     return RepresentedSet(bound, key, (x2, x3, ny, nz))
 
 
+def _isolated(form: TernaryForm, bound: int, radii):
+    """((a, b, c, d, e, f), (r2, r3), step, k): form with x, y or z moved
+    first, whichever gives represented_mask the fewest shifts
+    k * (isqrt(bound // a) + 1), the first on a tie; the box radii of the
+    other two variables; and the k classes step * {0..k-1} of w mod 2a.
+    radii are the box's (x1, x2, x3)."""
+    best = None
+    for perm in _ISOLATE:
+        a, b, c, d, e, f = (form.coeffs()[i] for i in perm)
+        r1, r2, r3 = (radii[i] for i in perm[:3])
+        if r1 == 0:
+            # then a > bound: only x = 0 can reach the bound, and F(0, y, z)
+            # keeps neither e nor f
+            e = f = 0
+        step = math.gcd(2 * a, e, f)
+        k = 2 * a // step
+        shifts = k * (math.isqrt(bound // a) + 1)
+        if best is None or shifts < best[0]:
+            best = (shifts, ((a, b, c, d, e, f), (r2, r3), step, k))
+    return best[1]
+
+
 def represented_mask(form: TernaryForm, bound: int) -> np.ndarray:
     """Read-only bool array indexed by n (index 0 unused): True exactly
-    where enumerate_represented(form, bound) has a member, by the same scan
-    of the same box (so a skewed form crawls here too) with no witnesses:
-    each block marks its in-range values."""
-    box = _scan_box(form, bound)
+    where enumerate_represented(form, bound) has a member, with the same
+    guards and messages, as a sumset of shifted binary-form values.
+
+    Write F = a x^2 + x w + g, with w = f y + e z and g = F(0, y, z), and
+    split w = 2a q + r with 0 <= r < 2a.  Then x' = x + q gives
+    F = a x'^2 + r x' + h with h = F(-q, y, z) >= 0, and (x, y, z) ->
+    (x', y, z) is a bijection.  v -> -v keeps F, sends class r to 2a - r
+    and x' to -x' - 1 (to -x' when r = 0), so x' >= 0 suffices: every
+    shift a x'^2 + r x' is >= 0, and rep(F) up to bound is the union over
+    the classes r of the shifts s <= bound plus H_r, the h <= bound over
+    the (y, z) with w = r mod 2a.  Only r in step * {0..k-1} occur
+    (_isolated, which also picks the variable to isolate).
+
+    h and r are computed over the (y, z) box in chunks of y rows of at
+    most _BLOCK_POINTS points, within BLOCK_BYTES, and scattered into
+    _CLASS_ROWS rows of H at a time; a form with more classes walks the
+    chunks again for each further _CLASS_ROWS.  So the mask holds
+    1 + min(k, _CLASS_ROWS) bytes per n besides one chunk.
+    """
+    x1, x2, x3, _, _, _ = _scan_box(form, bound)
+    (a, b, c, d, e, f), (r2, r3), step, k = _isolated(form, bound, (x1, x2, x3))
+    zs = np.arange(-r3, r3 + 1, dtype=np.int64)
+    ny, nz = 2 * r2 + 1, 2 * r3 + 1
+    rows = min(ny, max(1, _BLOCK_POINTS // nz))
     mask = np.zeros(bound + 1, dtype=bool)
-    for _, flat in _blocks(form, box):
-        mask[flat[flat <= bound]] = True
+    held = min(k, _CLASS_ROWS)
+    hs = np.empty((held, bound + 1), dtype=bool)
+    for c0 in range(0, k, held):
+        hs[:] = False
+        for y0 in range(0, ny, rows):
+            ys = np.arange(y0 - r2, min(y0 + rows, ny) - r2, dtype=np.int64)
+            # q, r and q * (a q + r) = F(0, y, z) - h, in place where they
+            # can be; all within _scan_box's int64 guard, as 0 <= h <= F(0, y, z)
+            q = (f * ys)[:, None] + (e * zs)[None, :]
+            r = q % (2 * a)
+            q //= 2 * a
+            t = q * a
+            t += r
+            t *= q
+            del q
+            h = (d * ys)[:, None] * zs[None, :]
+            h += (b * ys * ys)[:, None]
+            h += (c * zs * zs)[None, :]
+            h -= t
+            del t
+            r //= step
+            r -= c0
+            keep = (h <= bound) & (r >= 0) & (r < held)
+            at = r[keep]
+            at *= bound + 1
+            at += h[keep]
+            del h, r, keep
+            hs.ravel()[at] = True
+            del at
+        for j in range(min(held, k - c0)):
+            row, r = hs[j], (c0 + j) * step
+            x = 0
+            while (s := a * x * x + r * x) <= bound:
+                mask[s:] |= row[: bound + 1 - s]
+                x += 1
     # F = 0 only at the origin
     mask[0] = False
     mask.setflags(write=False)

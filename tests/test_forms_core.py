@@ -6,10 +6,11 @@ coordinate box comes from a floating-point eigenvalue bound, so the two
 routes share no search logic, and against a one-slice-per-pass int64 scan
 of the full box, the reference for the blocked int32 scan and its sign
 rules: both must give the same members and the same least witnesses.
-The membership-only scan must give the keyed scan's members.
+The membership-only sumset must give the keyed scan's members.
 """
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,8 @@ PAST_A_BLOCK_AND_INT32 = (
     # a coefficient past int32 on a box that is only x = 0
     (TernaryForm(2**40, 1, 1, 0, 0, 0), 10),
 )
+# more classes of w mod 2a than one pass of the sumset holds (2a = 18)
+MANY_CLASSES = TernaryForm(9, 10, 11, 1, 1, 1)
 # (form, bound, error) that both scans refuse before allocating
 GUARD_CASES = (
     (TernaryForm(1, 1, -1, 0, 0, 0), 10, DefinitenessError),
@@ -322,8 +325,26 @@ def assert_mask_matches_keyed_scan(form: TernaryForm, bound: int):
     assert np.array_equal(mask, enumerate_represented(form, bound).member_mask()), (form, bound)
 
 
+def isolation(form: TernaryForm, bound: int):
+    """represented_mask's choice for form to bound: (coefficients with the
+    isolated variable first, the other two radii, class step, classes)."""
+    return forms_core._isolated(form, bound, forms_core._scan_box(form, bound)[:3])
+
+
+def isolated_variable(form: TernaryForm, bound: int) -> tuple[str, int]:
+    """The variable that represented_mask isolates, and its class count,
+    at a bound where every variable's box radius is at least 1."""
+    coeffs, _, _, k = isolation(form, bound)
+    for var, perm in zip("xyz", ((0, 1, 2, 3, 4, 5), (1, 0, 2, 4, 3, 5), (2, 1, 0, 5, 4, 3))):
+        if coeffs == tuple(form.coeffs()[i] for i in perm):
+            return var, k
+    raise AssertionError(f"{coeffs} is no permutation of {form}")
+
+
 class TestRepresentedMask:
-    """represented_mask is the keyed scan without keys: the same members."""
+    """represented_mask is a sumset of shifted binary-form values: the
+    keyed scan's members, whichever variable it isolates and however many
+    classes of w mod 2a it holds at a time."""
 
     @pytest.mark.parametrize("bound", SCAN_BOUNDS)
     def test_matches_keyed_scan_on_catalog_and_extra_forms(self, catalog, bound):
@@ -335,6 +356,61 @@ class TestRepresentedMask:
     @pytest.mark.parametrize("form, bound", PAST_A_BLOCK_AND_INT32)
     def test_matches_keyed_scan_past_a_block_and_int32(self, form, bound):
         assert_mask_matches_keyed_scan(form, bound)
+
+    @pytest.mark.parametrize("form, var", (
+        (TernaryForm(2, 2, 5, 2, 2, 0), "x"),  # A1: x and y tie, x is first
+        (TernaryForm(5, 8, 8, 0, 4, 4), "y"),  # A7's first form
+        (TernaryForm(9, 9, 16, 8, 8, 2), "z"),  # A9's first form
+    ))
+    def test_each_isolated_variable(self, form, var):
+        for bound in (121, 1000, 20000):
+            assert isolated_variable(form, bound)[0] == var
+            assert_mask_matches_keyed_scan(form, bound)
+
+    def test_single_class(self):
+        # e = f = 0: w = 0, so rep = {a x^2} + rep(b y^2 + c z^2 + d y z)
+        form = TernaryForm(2, 3, 5, 3, 0, 0)
+        for bound in SCAN_BOUNDS:
+            if bound >= 48:
+                assert isolated_variable(form, bound) == ("x", 1)
+            assert_mask_matches_keyed_scan(form, bound)
+
+    @pytest.mark.parametrize("bound", SCAN_BOUNDS + (20000,))
+    def test_more_classes_than_one_pass(self, bound):
+        if bound >= 48:
+            assert isolated_variable(MANY_CLASSES, bound) == ("x", 18)
+        assert_mask_matches_keyed_scan(MANY_CLASSES, bound)
+
+    @pytest.mark.parametrize("bound", (48, 1000))
+    def test_one_class_per_pass_on_catalog_forms(self, catalog, monkeypatch, bound):
+        monkeypatch.setattr(forms_core, "_CLASS_ROWS", 1)
+        for rec in catalog.records:
+            for form in rec.all_forms():
+                assert_mask_matches_keyed_scan(form, bound)
+        assert_mask_matches_keyed_scan(MANY_CLASSES, bound)
+
+    def test_only_zero_reaches_the_bound(self):
+        # every a_i is past the bound, so the isolated variable is 0 on the
+        # box and its class count is 1, not 2a = 2^41
+        form = TernaryForm(2**40, 2**40, 2**40, 1, 1, 1)
+        assert isolation(form, 10)[3] == 1
+        assert_mask_matches_keyed_scan(form, 10)
+        assert_mask_matches_keyed_scan(TernaryForm(2**40, 1, 1, 0, 1, 1), 10)
+        # x is isolated, with a (y, z) box of one point: d = 2^40 meets
+        # only y = z = 0
+        assert_mask_matches_keyed_scan(TernaryForm(100, 2**40, 2**40, 2**40, 0, 0), 10)
+
+    def test_matches_keyed_scan_on_random_reduced_forms(self):
+        rng = random.Random(20231)
+        tried = 0
+        while tried < 300:
+            a = rng.randint(1, 12)
+            b = rng.randint(a, a + 6)
+            c = rng.randint(b, b + 6)
+            form = TernaryForm(a, b, c, rng.randint(-b, b), rng.randint(-a, a), rng.randint(-a, a))
+            if is_positive_definite(form):
+                assert_mask_matches_keyed_scan(form, rng.choice((1, 17, 100, 700)))
+                tried += 1
 
     @pytest.mark.parametrize("form, bound, error", GUARD_CASES)
     def test_same_guards_as_keyed_scan(self, form, bound, error):
@@ -348,7 +424,8 @@ class TestRepresentedMask:
 
 class TestBlocks:
     """Chunks of y rows, a partial last chunk and whole-slab blocks of
-    several x slices: the keys and members do not depend on the block."""
+    several x slices: the keys and members do not depend on the block, nor
+    the sumset's members on its chunks of y rows."""
 
     @pytest.mark.parametrize("points, bound", ((1, 48), (7, 121), (64, 1000), (4096, 1000)))
     def test_every_chunk_shape_matches_slice_scan(self, catalog, monkeypatch, points, bound):
@@ -362,7 +439,8 @@ class TestBlocks:
 
 
 class TestScanBytes:
-    """The scan holds at most one block besides its per-n arrays."""
+    """The scan and the sumset hold at most one block besides their per-n
+    arrays."""
 
     @pytest.mark.parametrize("form, bound", (
         # about 6 slab points per n, the widest reduced form
@@ -371,12 +449,18 @@ class TestScanBytes:
         # slabs of about 300 000 points: five chunks each
         (TernaryForm(2, 2, 5, 2, 2, 0), 200000),
         (TernaryForm(1, 1, 1, 1, 1, 1), 50000),
+        # three passes of the sumset
+        (MANY_CLASSES, 50000),
     ))
     @pytest.mark.parametrize("scan", (enumerate_represented, represented_mask))
     def test_bounds_the_traced_peak(self, form, bound, scan):
-        # everything the scan allocates beyond its per-n arrays (int64 key
-        # and bool member mask, or the bool mask alone)
-        per_n = (9 if scan is enumerate_represented else 1) * (bound + 1)
+        # everything the scan allocates beyond its per-n arrays: the int64
+        # key and bool member mask, or the bool mask and the sumset's rows
+        # of at most 8 classes
+        if scan is enumerate_represented:
+            per_n = 9 * (bound + 1)
+        else:
+            per_n = (1 + min(isolation(form, bound)[3], 8)) * (bound + 1)
         tracemalloc.start()
         try:
             scan(form, bound)
