@@ -10,22 +10,19 @@ decisions route through the doubled Gram matrix
 and the identity x^T M_F x = 2 F(x), so non-classic forms (odd d, e or f)
 never require half-integers.
 
-The keyed scan (enumerate_represented) evaluates F on a block of at most
-_BLOCK_POINTS points per numpy pass (_blocks), in int32 when the box's
-bound on |F| is below 2^31 and in int64 otherwise, so it holds at most
-BLOCK_BYTES besides its per-n arrays; the keys and witnesses depend
-neither on the blocks, nor on their order, nor on the width.  It scans
-one point per sign orbit that fixes x: the least witness has y <= 0 when
-f = 0 and d or e is 0 ((x, -y, z) or (x, -y, -z) keeps F), and z <= 0
-when d = e = 0 ((x, y, -z) keeps F), as the mirror of any other is
-smaller.  It keeps the least scan position of each n, the witness that
-`report` and `classify` print.
-
-represented_mask marks the n that occur, which is all that `verify`
-reads, with no scan of the box: rep(F) is a union of shifted values of
-binary forms (its docstring), built from O(bound) points of a (y, z) box
-in chunks within BLOCK_BYTES.  Both share _scan_box, so they refuse the
-same forms and bounds with the same messages.
+The two engines of route 1 walk one cut of the (y, z) box into chunks of
+whole y rows (_chunks) behind the same guards (_scan_box), so they refuse
+the same forms and bounds with the same messages, and each holds at most
+BLOCK_BYTES besides its per-n arrays.  The keyed scan
+(enumerate_represented) adds the x terms to each chunk, in int32 where the
+box's bound on |F| allows, and keeps the least scan position of each n:
+the witness that `report` and `classify` print, whatever the chunks and
+the width.  It scans one point per sign orbit that fixes x: the least
+witness has y <= 0 when f = 0 and d or e is 0 ((x, -y, z) or (x, -y, -z)
+keeps F), and z <= 0 when d = e = 0 ((x, y, -z) keeps F), as the mirror
+of any other is smaller.  represented_mask marks the n that occur, all
+that `verify` reads, as a sumset of shifted binary-form values (its
+docstring), with no scan of the three-dimensional box.
 """
 
 from __future__ import annotations
@@ -55,11 +52,11 @@ _INT64_GUARD = 1 << 62
 # Points per numpy pass of the scan: a block this size stays in cache
 # (1 << 18 was slower at bound 1e4).
 _BLOCK_POINTS = 1 << 16
-# Peak bytes a scan holds besides its per-n arrays: per block point at int64
-# width, the chunk's (y, z) values, F and the filter, and in the keyed scan
-# the in-range positions, F and keys (8 + 8 + 1 + 3 * 8).  A chunk of the
-# sumset holds less: r, h, the filter, and the scatter's positions and
-# their source (8 + 8 + 1 + 2 * 8).
+# Peak bytes a scan holds besides its per-n arrays, per chunk point at int64
+# width: in the keyed scan the chunk's g, one block's F and its filter, and
+# the in-range positions, F and keys (8 + 8 + 1 + 3 * 8); in the sumset, g,
+# q and t while h is built (3 * 8), then h, r, the filter and the scatter's
+# two indices (8 + 8 + 1 + 2 * 8).
 BLOCK_BYTES = 41 * _BLOCK_POINTS
 # key of an n that no vector gives
 _NO_KEY = np.iinfo(np.int64).max
@@ -196,11 +193,10 @@ class RepresentedSet:
 
 
 def _scan_box(form: TernaryForm, bound: int):
-    """(x1, x2, x3, ny, nz, dtype): the box that a scan of form to bound
-    visits, x in 0..x1, ny values of y from -x2 and nz of z from -x3 (the
-    sign mirrors left out, module docstring), with F in dtype.  Raises
-    where the definiteness, bound and 64-bit guards fail; allocates no
-    array."""
+    """(x1, x2, x3, worst): the radii of the box |x| <= x1, |y| <= x2,
+    |z| <= x3 around the ellipsoid F <= bound, and a bound worst on |F| and
+    on each of its partial sums over the box.  Raises where the
+    definiteness, bound and 64-bit guards fail; allocates no array."""
     if not is_positive_definite(form):
         raise DefinitenessError(f"form {form} is not positive definite")
     if bound < 1:
@@ -221,40 +217,27 @@ def _scan_box(form: TernaryForm, bound: int):
     # numpy holds each coefficient too, even where its coordinate is only 0
     if worst >= _INT64_GUARD or max(map(abs, form.coeffs())) >= _INT64_GUARD:
         raise BoundOverflowError(f"bound {bound} overflows 64-bit intermediates for {form}")
-    # every partial sum below is at most worst in absolute value
-    dtype = np.int32 if worst <= np.iinfo(np.int32).max else np.int64
-    # the least witness's sign rules: y <= 0, z <= 0
-    ny = x2 + 1 if f == 0 and (d == 0 or e == 0) else 2 * x2 + 1
-    nz = x3 + 1 if d == e == 0 else 2 * x3 + 1
-    return x1, x2, x3, ny, nz, dtype
+    return x1, x2, x3, worst
 
 
-def _blocks(form: TernaryForm, box):
-    """Yield (start, flat): F on a block ravelled in scan order (x, then y,
-    then z ascending), flat[i] at scan position start + i.  The (y, z) slab
-    is cut into chunks of whole y rows of at most _BLOCK_POINTS points, and
-    a block is one chunk of one x slice, or whole x slices when the slab is
-    one chunk.  A row alone passes _BLOCK_POINTS only when nz > 65 536, at
-    bounds near 1e9."""
-    a, b, c, d, e, f = form.coeffs()
-    x1, x2, x3, ny, nz, dtype = box
+def _chunks(b: int, c: int, d: int, box, dtype):
+    """Yield (ys, zs, g) over the (y, z) box (x2, x3, ny, nz), ny values of
+    y from -x2 and nz of z from -x3, cut into chunks of whole y rows of at
+    most _BLOCK_POINTS points: the chunk's ys, every z, and g = b y^2 +
+    d y z + c z^2 on the chunk in dtype.  A row alone passes _BLOCK_POINTS
+    only when nz > 65 536, at bounds near 1e9."""
+    x2, x3, ny, nz = box
     zs = np.arange(-x3, nz - x3, dtype=np.int64)
     rows = min(ny, max(1, _BLOCK_POINTS // nz))
-    # several x slices per block only when one chunk is the whole slab, so
-    # each block's positions are contiguous
-    step = max(1, _BLOCK_POINTS // (rows * nz))
-    for y0 in range(0, ny, rows):
-        ys = np.arange(y0 - x2, min(y0 + rows, ny) - x2, dtype=np.int64)
-        col = (b * ys * ys)[:, None] + d * ys[:, None] * zs[None, :] + (c * zs * zs)[None, :]
-        col = col.astype(dtype)
-        for x0 in range(0, x1 + 1, step):
-            xs = np.arange(x0, min(x0 + step, x1 + 1), dtype=np.int64)[:, None]
-            # int64 first: a coefficient may pass int32 where its coordinate is only 0
-            row = (a * xs * xs + f * xs * ys).astype(dtype)
-            ez = (e * xs * zs).astype(dtype)
-            vals = col + row[:, :, None]
-            vals += ez[:, None, :]
-            yield (x0 * ny + y0) * nz, vals.ravel()
+    for y0 in range(-x2, ny - x2, rows):
+        ys = np.arange(y0, min(y0 + rows, ny - x2), dtype=np.int64)
+        # int64 first: a coefficient may pass int32 where its coordinate is only 0
+        g = (d * ys)[:, None] * zs
+        g += (b * ys * ys)[:, None]
+        g += c * zs * zs
+        # rebound, so no int64 copy stays alive while the engine walks the chunk
+        g = g.astype(dtype, copy=False)
+        yield ys, zs, g
 
 
 def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
@@ -265,27 +248,43 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     that gives it.  The work follows the box, not the ellipsoid, so a skewed
     (non-reduced) form can make the scan crawl; the catalog refuses one.
     """
-    box = _scan_box(form, bound)
-    _, x2, x3, ny, nz, _ = box
+    x1, x2, x3, worst = _scan_box(form, bound)
+    a, b, c, d, e, f = form.coeffs()
+    # the least witness's sign rules: y <= 0, z <= 0
+    ny = x2 + 1 if f == 0 and (d == 0 or e == 0) else 2 * x2 + 1
+    nz = x3 + 1 if d == e == 0 else 2 * x3 + 1
+    # every partial sum below is at most worst in absolute value
+    dtype = np.int32 if worst <= np.iinfo(np.int32).max else np.int64
+    # a block is one chunk of one x slice, or whole x slices when the slab
+    # is one chunk, so each block's positions are contiguous
+    step = max(1, _BLOCK_POINTS // (ny * nz))
     key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
-    for start, flat in _blocks(form, box):
-        # F >= 0 on the box, and F = 0 only at the origin (key[0] reset below)
-        pos = np.flatnonzero(flat <= bound)
-        np.minimum.at(key, flat[pos], start + pos)
+    for ys, zs, g in _chunks(b, c, d, (x2, x3, ny, nz), dtype):
+        for x0 in range(0, x1 + 1, step):
+            xs = np.arange(x0, min(x0 + step, x1 + 1), dtype=np.int64)[:, None]
+            # int64 first: a coefficient may pass int32 where its coordinate is only 0
+            row = (a * xs * xs + f * xs * ys).astype(dtype)
+            ez = (e * xs * zs).astype(dtype)
+            vals = g + row[:, :, None]
+            vals += ez[:, None, :]
+            flat = vals.ravel()
+            # F >= 0 on the box, and F = 0 only at the origin (key[0] reset below)
+            pos = np.flatnonzero(flat <= bound)
+            np.minimum.at(key, flat[pos], (x0 * ny + int(ys[0]) + x2) * nz + pos)
     key[0] = _NO_KEY
     return RepresentedSet(bound, key, (x2, x3, ny, nz))
 
 
-def _isolated(form: TernaryForm, bound: int, radii):
-    """((a, b, c, d, e, f), (r2, r3), step, k): form with x, y or z moved
-    first, whichever gives represented_mask the fewest shifts
-    k * (isqrt(bound // a) + 1), the first on a tie; the box radii of the
-    other two variables; and the k classes step * {0..k-1} of w mod 2a.
-    radii are the box's (x1, x2, x3)."""
+def _isolated(form: TernaryForm, bound: int, box):
+    """((a, b, c, d, e, f), yz, step, k): form with x, y or z moved first,
+    whichever gives represented_mask the fewest shifts
+    k * (isqrt(bound // a) + 1), the first on a tie; the (y, z) box of the
+    other two variables, as _chunks takes it; and the k classes
+    step * {0..k-1} of w mod 2a.  box is _scan_box(form, bound)."""
     best = None
     for perm in _ISOLATE:
         a, b, c, d, e, f = (form.coeffs()[i] for i in perm)
-        r1, r2, r3 = (radii[i] for i in perm[:3])
+        r1, r2, r3 = (box[i] for i in perm[:3])
         if r1 == 0:
             # then a > bound: only x = 0 can reach the bound, and F(0, y, z)
             # keeps neither e nor f
@@ -294,7 +293,7 @@ def _isolated(form: TernaryForm, bound: int, radii):
         k = 2 * a // step
         shifts = k * (math.isqrt(bound // a) + 1)
         if best is None or shifts < best[0]:
-            best = (shifts, ((a, b, c, d, e, f), (r2, r3), step, k))
+            best = (shifts, ((a, b, c, d, e, f), (r2, r3, 2 * r2 + 1, 2 * r3 + 1), step, k))
     return best[1]
 
 
@@ -313,47 +312,41 @@ def represented_mask(form: TernaryForm, bound: int) -> np.ndarray:
     the (y, z) with w = r mod 2a.  Only r in step * {0..k-1} occur
     (_isolated, which also picks the variable to isolate).
 
-    h and r are computed over the (y, z) box in chunks of y rows of at
-    most _BLOCK_POINTS points, within BLOCK_BYTES, and scattered into
-    _CLASS_ROWS rows of H at a time; a form with more classes walks the
-    chunks again for each further _CLASS_ROWS.  So the mask holds
-    1 + min(k, _CLASS_ROWS) bytes per n besides one chunk.
+    h and r come from the chunks of the (y, z) box (_chunks) and are
+    scattered into _CLASS_ROWS rows of H at a time; a form with more
+    classes walks the chunks again for each further _CLASS_ROWS.  So the
+    mask holds 1 + min(k, _CLASS_ROWS) bytes per n besides one chunk.
     """
-    x1, x2, x3, _, _, _ = _scan_box(form, bound)
-    (a, b, c, d, e, f), (r2, r3), step, k = _isolated(form, bound, (x1, x2, x3))
-    zs = np.arange(-r3, r3 + 1, dtype=np.int64)
-    ny, nz = 2 * r2 + 1, 2 * r3 + 1
-    rows = min(ny, max(1, _BLOCK_POINTS // nz))
+    (a, b, c, d, e, f), yz, step, k = _isolated(form, bound, _scan_box(form, bound))
     mask = np.zeros(bound + 1, dtype=bool)
     held = min(k, _CLASS_ROWS)
     hs = np.empty((held, bound + 1), dtype=bool)
     for c0 in range(0, k, held):
         hs[:] = False
-        for y0 in range(0, ny, rows):
-            ys = np.arange(y0 - r2, min(y0 + rows, ny) - r2, dtype=np.int64)
-            # q, r and q * (a q + r) = F(0, y, z) - h, in place where they
-            # can be; all within _scan_box's int64 guard, as 0 <= h <= F(0, y, z)
-            q = (f * ys)[:, None] + (e * zs)[None, :]
-            r = q % (2 * a)
+        for ys, zs, h in _chunks(b, c, d, yz, np.int64):
+            # in place, so a chunk holds three int64 arrays: g becomes
+            # h = g + q (a q - w), and q becomes r = w - 2a q; every value
+            # stays within _scan_box's int64 guard
+            fy, ez = (f * ys)[:, None], e * zs
+            q = fy + ez
             q //= 2 * a
             t = q * a
-            t += r
+            t -= fy
+            t -= ez
             t *= q
-            del q
-            h = (d * ys)[:, None] * zs[None, :]
-            h += (b * ys * ys)[:, None]
-            h += (c * zs * zs)[None, :]
-            h -= t
+            h += t
             del t
+            r = q
+            r *= -2 * a
+            r += fy
+            r += ez
+            del fy, ez
             r //= step
             r -= c0
             keep = (h <= bound) & (r >= 0) & (r < held)
-            at = r[keep]
-            at *= bound + 1
-            at += h[keep]
-            del h, r, keep
-            hs.ravel()[at] = True
-            del at
+            hs[r[keep], h[keep]] = True
+            # so the next chunk's g is built beside this chunk's g alone
+            del q, r, keep
         for j in range(min(held, k - c0)):
             row, r = hs[j], (c0 + j) * step
             x = 0

@@ -327,8 +327,9 @@ def assert_mask_matches_keyed_scan(form: TernaryForm, bound: int):
 
 def isolation(form: TernaryForm, bound: int):
     """represented_mask's choice for form to bound: (coefficients with the
-    isolated variable first, the other two radii, class step, classes)."""
-    return forms_core._isolated(form, bound, forms_core._scan_box(form, bound)[:3])
+    isolated variable first, the (y, z) box of the other two, class step,
+    classes)."""
+    return forms_core._isolated(form, bound, forms_core._scan_box(form, bound))
 
 
 def isolated_variable(form: TernaryForm, bound: int) -> tuple[str, int]:
@@ -424,8 +425,10 @@ class TestRepresentedMask:
 
 class TestBlocks:
     """Chunks of y rows, a partial last chunk and whole-slab blocks of
-    several x slices: the keys and members do not depend on the block, nor
-    the sumset's members on its chunks of y rows."""
+    several x slices: the keys and members do not depend on them.  Both
+    engines walk the one cut of _chunks, so the sumset agreeing with the
+    keyed scan cannot see a fault in it; the slice scan, which cuts
+    nothing, does."""
 
     @pytest.mark.parametrize("points, bound", ((1, 48), (7, 121), (64, 1000), (4096, 1000)))
     def test_every_chunk_shape_matches_slice_scan(self, catalog, monkeypatch, points, bound):
