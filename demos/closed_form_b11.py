@@ -1,21 +1,18 @@
 """Why the B11 miss set needs its 3-adic congruence types.
 
 The form 9x^2+16y^2+48z^2 misses exactly the integers excluded by one of
-its two ramified primes plus the exceptional squareclasses 4^a*M_3^2.
-This demo assembles that union from the per-prime exclusion predicates,
-then shows that dropping the 3-adic types (2+3l and 9^k(6+9l)) leaves a
-union that disagrees with the enumeration, first at n = 17.
+its two ramified primes plus the exceptional squareclasses M_3^2 and
+4*M_3^2.  This demo takes that union from closed_form_missed_mask, which
+assembles it from the per-prime exclusion predicates, then shows that
+dropping the 3-adic types (2+3l and 9^k(6+9l)) leaves a union that
+disagrees with the enumeration, first at n = 17.
 """
 
 import numpy as np
 
 from spinor_ternary import load_default_catalog, represented_mask
-from spinor_ternary.local_solver import (
-    lemma72_excluded,
-    lemma73_excluded,
-    local_represents,
-)
-from spinor_ternary.spinor_theory import squareclass_mask
+from spinor_ternary.local_solver import lemma72_excluded, local_represents
+from spinor_ternary.spinor_theory import closed_form_missed_mask, squareclass_mask
 
 BOUND = 2000
 
@@ -26,13 +23,10 @@ def main() -> None:
     form = rec.sgi_forms[0]
     rep = represented_mask(form, BOUND)
 
-    n = np.arange(BOUND + 1)
-    two_adic = lemma72_excluded(n)
-    three_adic = lemma73_excluded(n)
-    classes = squareclass_mask(rec.exceptional_spec, BOUND)
-
-    full = two_adic | three_adic | classes
-    narrow = two_adic | classes
+    full = closed_form_missed_mask("B11", BOUND)
+    # the same union less the 3-adic types
+    two_adic = lemma72_excluded(np.arange(BOUND + 1))
+    narrow = two_adic | squareclass_mask(rec.exceptional_spec, BOUND)
 
     missed = ~rep
     missed[0] = False

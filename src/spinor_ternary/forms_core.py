@@ -238,6 +238,9 @@ def _chunks(b: int, c: int, d: int, box, dtype):
         # rebound, so no int64 copy stays alive while the engine walks the chunk
         g = g.astype(dtype, copy=False)
         yield ys, zs, g
+        # dropped on resume, so a g the engine has dropped is freed before
+        # the next chunk is built
+        del g
 
 
 def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
@@ -271,6 +274,10 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
             # F >= 0 on the box, and F = 0 only at the origin (key[0] reset below)
             pos = np.flatnonzero(flat <= bound)
             np.minimum.at(key, flat[pos], (x0 * ny + int(ys[0]) + x2) * nz + pos)
+        # the last block's arrays and the chunk's g, freed before _chunks
+        # builds the next chunk; freed after every block instead, each block
+        # faults in fresh pages (A1 at 2e4: ten times the faults, twice the time)
+        del vals, flat, pos, g
     key[0] = _NO_KEY
     return RepresentedSet(bound, key, (x2, x3, ny, nz))
 

@@ -146,14 +146,24 @@ def spinor_exceptional_general(record, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ndelta = n * record.delta
     ram = record.ramified_primes()
     for p, e in factor(n):
         if p in ram:
             continue
-        if e % 2 or not is_padic_square(p, -ndelta):
+        if e % 2 or not is_padic_square(p, -n * record.delta):
             return False
-    for p in ram:
+    return _ramified_clause(record, n)
+
+
+def _ramified_clause(record, n: int) -> bool:
+    """The ramified clause of spinor_exceptional_general, on its own.  Its
+    precondition is the other clause: n >= 1 has even order, with -n*delta a
+    local square, at every prime away from 2*delta where that order is
+    positive, which every product of ramified primes satisfies.  On any
+    other n the answer means nothing, and where -n*delta is a non-square at
+    a ramified prime with no recorded cutoff it raises."""
+    ndelta = n * record.delta
+    for p in record.ramified_primes():
         data = record.local_data[p]
         for gen in data.theta:
             if not in_local_norm_group(p, gen, ndelta):
@@ -162,9 +172,6 @@ def spinor_exceptional_general(record, n: int) -> bool:
             continue
         cutoff = data.cutoff
         if cutoff is None:
-            # unreachable for catalog data: reaching here with no cutoff
-            # would need -n*delta a 2-adic non-square surviving the norm
-            # group test, which the group-C theta groups rule out
             raise ValueError(f"no order cutoff recorded for {record.rid} at p={p}")
         if ord_p(p, n) > cutoff:
             return False
@@ -173,8 +180,9 @@ def spinor_exceptional_general(record, n: int) -> bool:
 
 def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
     """Spinor-exceptional verdicts of the general criterion on the
-    genus-represented n (`genus`): decide each ramified part r, then sieve m.
-    The criterion's even-order clause rejects every n but r*m^2, r a product
+    genus-represented n (`genus`): decide each ramified part r by the
+    ramified clause, then sieve m by the clause away from 2*delta.
+    That clause's even order rejects every n but r*m^2, r a product
     of ramified primes and m prime to them.  There m^2 is a p-adic unit
     square at each ramified p, so r*m^2 has r's local representability
     (`genus`), Hilbert symbols, squareness of -n*delta and ord_p; and at
@@ -198,7 +206,7 @@ def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
     primes = np.flatnonzero(sieve)
     out = np.zeros(bound + 1, dtype=bool)
     for r in rs:
-        if not genus[r] or not spinor_exceptional_general(rec, r):
+        if not genus[r] or not _ramified_clause(rec, r):
             continue
         mmax = math.isqrt(bound // r)
         keep = np.arange(mmax + 1) > 0

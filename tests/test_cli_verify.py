@@ -83,6 +83,28 @@ class TestMasks:
                 want = spinor_exceptional_general(rec, n) and genus_represents(rec, n)
                 assert mask[n] == want, (rec.rid, n)
 
+    def test_criterion_mask_asks_only_the_ramified_clause(self, catalog, monkeypatch):
+        # the m-sieve is the clause away from 2*delta, so each ramified part
+        # is put only to the ramified clause: neither the whole criterion
+        # nor factor runs, and the masks still match the pointwise criterion
+        bound = 3000
+
+        def refuse(*args):
+            raise AssertionError("the clause away from 2*delta ran on a ramified part")
+
+        masks = {}
+        with monkeypatch.context() as patched:
+            patched.setattr(spinor_theory, "factor", refuse)
+            patched.setattr(spinor_theory, "spinor_exceptional_general", refuse)
+            for rec in catalog.records:
+                masks[rec.rid] = exceptional_general_mask(rec, bound, genus_mask(rec, bound))
+        for rec in catalog.records:
+            mask = masks[rec.rid]
+            assert not mask[0]
+            for n in range(1, bound + 1):
+                want = spinor_exceptional_general(rec, n) and genus_represents(rec, n)
+                assert mask[n] == want, (rec.rid, n)
+
     def test_criterion_mask_matches_oracle(self, catalog):
         # at 5e4 the ramified parts r of n = r*m^2 reach high powers; the
         # candidates are found here from n alone: strip the ramified primes
@@ -103,9 +125,9 @@ class TestMasks:
 
     def test_criterion_once_per_ramified_part(self, catalog, monkeypatch):
         # the criterion's verdict depends on n = r*m^2 only through r and the
-        # primes of m, so verify calls it exactly once per genus-represented
-        # ramified part r, on r itself, the first ramified prime's exponent
-        # varying slowest
+        # primes of m, so verify asks its ramified clause exactly once per
+        # genus-represented ramified part r, on r itself, the first ramified
+        # prime's exponent varying slowest
         def ramified_parts(primes, bound):
             if not primes:
                 return [1]
@@ -116,13 +138,13 @@ class TestMasks:
             return parts
 
         calls = []
-        criterion = spinor_theory.spinor_exceptional_general
+        clause = spinor_theory._ramified_clause
 
         def counted(rec, n):
             calls.append(n)
-            return criterion(rec, n)
+            return clause(rec, n)
 
-        monkeypatch.setattr(spinor_theory, "spinor_exceptional_general", counted)
+        monkeypatch.setattr(spinor_theory, "_ramified_clause", counted)
         for rec in catalog.records:
             calls.clear()
             assert verify_record(rec, 10000).passed
