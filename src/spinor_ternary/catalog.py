@@ -181,6 +181,9 @@ def _parse_splitting(p: int, text: str, where: str) -> LocalSplitting:
             comps.append((head, int(exp)) if head in ("H", "A") else ("diag", int(head), int(exp)))
         except ValueError:
             raise CatalogError(f"{where}: bad splitting token {tok!r}") from None
+        # a negative exponent makes the Gram determinant a fraction
+        if comps[-1][-1] < 0:
+            raise CatalogError(f"{where}: bad splitting token {tok!r}")
     return LocalSplitting(p, tuple(comps))
 
 
@@ -207,6 +210,8 @@ def _parse_local(rest: str, where: str) -> LocalData:
             if not (val.startswith("{") and val.endswith("}")):
                 raise CatalogError(f"{where}: theta wants {{..}}, got {val!r}")
             theta = tuple(_parse_int(x, "theta", where) for x in val[1:-1].split(","))
+            if 0 in theta:
+                raise CatalogError(f"{where}: bad theta '0'")
         elif key == "lambda":
             lam = _parse_int(val, "lambda", where)
         elif key == "subcase":

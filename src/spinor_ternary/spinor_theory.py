@@ -188,16 +188,30 @@ def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
     (`genus`), Hilbert symbols, squareness of -n*delta and ord_p; and at
     q | m, -r*delta*m^2 is a q-adic square exactly when -r*delta is.  So
     r*m^2 is exceptional exactly when r is and every q | m has -r*delta
-    square in Q_q."""
+    square in Q_q.
+
+    The ramified clause reads r = prod p^e_p only through its signature,
+    one pair (e_p mod 2, e_p > cutoff_p) per ramified p (False where no
+    cutoff is recorded), so it is asked once per signature, on the first
+    genus-represented part that has it.  Two parts with the same parities
+    differ by a rational square, so -r*delta has one squareclass at every
+    prime: the same Hilbert symbols and the same squareness.  The cutoff
+    test reads only whether e_p > cutoff_p.  So the clause's verdict, or
+    its raise, is the signature's, and a raise comes at the same first
+    part as when every part is asked.  `genus` and the m-sieve stay per
+    part, since local representability reads more than the signature."""
     ram = rec.ramified_primes()
-    rs = [1]
+    parts = [(1, ())]
     for p in ram:
+        cutoff = rec.local_data[p].cutoff
         powers = []
-        for r in rs:
+        for r, sig in parts:
+            e = 0
             while r <= bound:
-                powers.append(r)
+                powers.append((r, sig + ((e % 2, cutoff is not None and e > cutoff),)))
                 r *= p
-        rs = powers
+                e += 1
+        parts = powers
     root = math.isqrt(bound)
     sieve = np.arange(root + 1) > 1
     for q in range(2, math.isqrt(root) + 1):
@@ -205,8 +219,13 @@ def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
             sieve[q * q :: q] = False
     primes = np.flatnonzero(sieve)
     out = np.zeros(bound + 1, dtype=bool)
-    for r in rs:
-        if not genus[r] or not _ramified_clause(rec, r):
+    verdicts = {}
+    for r, sig in parts:
+        if not genus[r]:
+            continue
+        if sig not in verdicts:
+            verdicts[sig] = _ramified_clause(rec, r)
+        if not verdicts[sig]:
             continue
         mmax = math.isqrt(bound // r)
         keep = np.arange(mmax + 1) > 0

@@ -243,6 +243,14 @@ class TestRejectedText:
             ("splitting=1:0,1:0,1:4", "splitting=1:0,3:0,1:4",
              "record A1, p=2: splitting determinant in the wrong squareclass"),
             (" lambda=1 ", " lambda=0 ", "record A1, p=2: lambda must be >= 1"),
+            # a negative exponent would make the Gram determinant a fraction:
+            # at an odd p legendre got a float, at p = 2 the record loaded
+            ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:-1,1:1,1:2",
+             "record B1: bad splitting token '1:-1'"),
+            ("splitting=A:0,1:3", "splitting=A:-1,1:3", "record B1: bad splitting token 'A:-1'"),
+            ("splitting=H:0,5:3", "splitting=H:-1,5:3", "record B2: bad splitting token 'H:-1'"),
+            # 0 is no squareclass
+            ("theta={1,2,5,10}", "theta={1,0,5,10}", "record A1: bad theta '0'"),
             ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} lambda=1",
              "record B1, p=3: lambda/subcase only belong on the p=2 line"),
             ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:0,1:0,1:3",

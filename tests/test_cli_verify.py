@@ -3,12 +3,15 @@ bulk verification masks behind the verify subcommand."""
 
 import hashlib
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinor_ternary import catalog as catalog_module
 from spinor_ternary import cli_verify, local_solver, spinor_theory
+from spinor_ternary.arith import ord_p
 from spinor_ternary.catalog import dumps, loads
 from spinor_ternary.cli_verify import main, verify_record
 from spinor_ternary.forms_core import BLOCK_BYTES, enumerate_represented, represented_mask
@@ -29,6 +32,42 @@ from spinor_ternary.spinor_theory import (
     squareclass_mask,
     squareclass_match,
 )
+
+
+def ramified_parts(primes, bound):
+    """Every product r <= bound of the primes, the first prime's exponent
+    varying slowest."""
+    if not primes:
+        return [1]
+    parts, pk = [], 1
+    while pk <= bound:
+        parts += [pk * r for r in ramified_parts(primes[1:], bound // pk)]
+        pk *= primes[0]
+    return parts
+
+
+def signature(rec, r):
+    """(e_p mod 2, e_p > cutoff_p) at each ramified p of the record, the
+    second item False where no cutoff is recorded."""
+    out = []
+    for p in rec.ramified_primes():
+        e, cutoff = ord_p(p, r), rec.local_data[p].cutoff
+        out.append((e % 2, cutoff is not None and e > cutoff))
+    return tuple(out)
+
+
+@pytest.fixture
+def clause_calls(monkeypatch):
+    """The n of every `spinor_theory._ramified_clause` call, in order."""
+    calls = []
+    clause = spinor_theory._ramified_clause
+
+    def counted(rec, n):
+        calls.append(n)
+        return clause(rec, n)
+
+    monkeypatch.setattr(spinor_theory, "_ramified_clause", counted)
+    return calls
 
 
 def run(capsys, *argv):
@@ -123,33 +162,66 @@ class TestMasks:
             for n in np.flatnonzero(cand).tolist():
                 assert mask[n] == spinor_exceptional_general(rec, n), (rec.rid, n)
 
-    def test_criterion_once_per_ramified_part(self, catalog, monkeypatch):
-        # the criterion's verdict depends on n = r*m^2 only through r and the
-        # primes of m, so verify asks its ramified clause exactly once per
-        # genus-represented ramified part r, on r itself, the first ramified
-        # prime's exponent varying slowest
-        def ramified_parts(primes, bound):
-            if not primes:
-                return [1]
-            parts, pk = [], 1
-            while pk <= bound:
-                parts += [pk * r for r in ramified_parts(primes[1:], bound // pk)]
-                pk *= primes[0]
-            return parts
-
-        calls = []
-        clause = spinor_theory._ramified_clause
-
-        def counted(rec, n):
-            calls.append(n)
-            return clause(rec, n)
-
-        monkeypatch.setattr(spinor_theory, "_ramified_clause", counted)
+    def test_criterion_once_per_ramified_part(self, catalog, clause_calls):
+        # the ramified clause reads a ramified part r only through its
+        # signature, so verify asks it once per signature, on the first
+        # genus-represented part that has it, the first ramified prime's
+        # exponent varying slowest
+        total = 0
         for rec in catalog.records:
-            calls.clear()
+            clause_calls.clear()
             assert verify_record(rec, 10000).passed
-            parts = ramified_parts(rec.ramified_primes(), 10000)
-            assert calls == [r for r in parts if genus_represents(rec, r)], rec.rid
+            firsts = {}
+            for r in ramified_parts(rec.ramified_primes(), 10000):
+                if genus_represents(rec, r):
+                    firsts.setdefault(signature(rec, r), r)
+            assert clause_calls == list(firsts.values()), rec.rid
+            total += len(clause_calls)
+        # 743 genus-represented parts, in 168 signatures
+        assert total == 168
+
+    def test_ramified_clause_reads_only_the_signature(self, catalog):
+        # the lemma behind asking once per signature: every genus-represented
+        # ramified part gets the verdict of its signature's first part
+        parts = signatures = 0
+        for rec in catalog.records:
+            first = {}
+            for r in ramified_parts(rec.ramified_primes(), 10**6):
+                if genus_represents(rec, r):
+                    verdict = spinor_theory._ramified_clause(rec, r)
+                    assert first.setdefault(signature(rec, r), verdict) == verdict, (rec.rid, r)
+                    parts += 1
+            signatures += len(first)
+        assert (parts, signatures) == (1576, 169)
+
+    def test_criterion_mask_raises_where_the_parts_do(self, catalog, monkeypatch, clause_calls):
+        # with no odd cutoff tabulated, the clause raises on a part whose
+        # -r*delta is not a square at an odd ramified prime; asking once per
+        # signature raises the same error, on the same part, as asking each
+        # genus-represented part in turn
+        bound = 10000
+        gens = {rec.rid: genus_mask(rec, bound) for rec in catalog.records}
+        monkeypatch.setattr(catalog_module, "_ODD_CUTOFFS", {})
+        raised = 0
+        for rec in catalog.records:
+            want = None
+            for r in ramified_parts(rec.ramified_primes(), bound):
+                if gens[rec.rid][r]:
+                    try:
+                        spinor_theory._ramified_clause(rec, r)
+                    except ValueError as exc:
+                        want = (r, str(exc))
+                        break
+            clause_calls.clear()
+            if want is None:
+                exceptional_general_mask(rec, bound, gens[rec.rid])
+                continue
+            with pytest.raises(ValueError, match=f"^{re.escape(want[1])}$"):
+                exceptional_general_mask(rec, bound, gens[rec.rid])
+            assert clause_calls[-1] == want[0], rec.rid
+            raised += 1
+        # the twelve B records at p=3 and the four C records at p=7
+        assert raised == 16
 
     def test_bulk_bad_is_the_shared_rule(self, catalog, monkeypatch):
         # n = 1..8 walk every (represented, genus-represented, in a
