@@ -41,17 +41,19 @@ from .spinor_theory import (
 
 DEFAULT_BOUND = 50000
 _ROWS = 1 << 12  # rows that write_report formats and writes at a time
+# the last three digits of n: "0".."999" below 1000, "000".."999" above
+_LOW = np.array([str(v) for v in range(1000)] + [f"{v:03d}" for v in range(1000)], dtype=object)
 
 # Peak bytes per n of one process: the slope of its peak RSS between two
 # bounds on B11 (Python 3.11, numpy 2.4).  verify 24 (route masks and the
 # closed form, B4 alike; 8e5 -> 3.2e6; 9 on A12 and C4, whose peak is the
-# sumset's mask and 8 class rows, and 8 on the other 25 records), report 27
-# (key, masks and a detail per n, A1 alike; 1e5 -> 3e5), classify 10 (key
-# and member mask; 1e6 -> 4e6), exceptional-list 2 (1e6 -> 4e6); the cap
-# adds about a fifth.  Each is at least the scan's own per-n arrays (at most
-# 1 + 8 for verify's sumset, 8 for the keyed scan's key), so with
-# forms_core.BLOCK_BYTES it bounds the scan too.
-_BYTES_PER_N = {"verify": 29, "report": 33, "classify": 12, "exceptional-list": 4}
+# sumset's mask and 8 class rows, and 8 on the other 25 records), report 18
+# (key, masks and a one-byte detail code per n, 15 on A1; 1e5 -> 3e5),
+# classify 10 (key and member mask; 1e6 -> 4e6), exceptional-list 2 (1e6 ->
+# 4e6); the cap adds about a fifth.  Each is at least the scan's own per-n
+# arrays (at most 1 + 8 for verify's sumset, 8 for the keyed scan's key), so
+# with forms_core.BLOCK_BYTES it bounds the scan too.
+_BYTES_PER_N = {"verify": 29, "report": 22, "classify": 12, "exceptional-list": 4}
 
 __all__ = [
     "VerificationReport",
@@ -140,42 +142,91 @@ def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationRepor
 
 # ----------------------------------------------------------------- report
 
+def _column(v: np.ndarray, end: str, wit: np.ndarray, m: int) -> list[str]:
+    """m strs: f"{v[i]}{end}" at row wit[i], "" at every other row, each a
+    reference into one table over v's range."""
+    table = [""]
+    pick = np.zeros(m, dtype=np.intp)
+    if wit.size:
+        v0 = int(v.min())
+        table += [f"{c}{end}" for c in range(v0, int(v.max()) + 1)]
+        pick[wit] = v - (v0 - 1)
+    return np.array(table, dtype=object)[pick].tolist()
+
+
+def _format_rows(lo: int, codes: np.ndarray, details, x, y, z) -> str:
+    """The report rows of n = lo .. lo + len(codes) - 1 as one str: n, then
+    details[code]; a row of code 0 (REPRESENTED, whose detail opens the
+    witness) then takes the next (x, y, z) of the witness arrays.  Each row
+    is six references into tables, so no str is formatted per row."""
+    m = len(codes)
+    n = np.arange(lo, lo + m)
+    h0 = lo // 1000
+    high = [str(h) if h else "" for h in range(h0, (lo + m - 1) // 1000 + 1)]
+    wit = np.flatnonzero(codes == 0)
+    out = [None] * (6 * m)
+    out[0::6] = np.array(high, dtype=object)[n // 1000 - h0].tolist()
+    out[1::6] = _LOW[n % 1000 + 1000 * (n >= 1000)].tolist()
+    out[2::6] = np.array(details, dtype=object)[codes].tolist()
+    out[3::6] = _column(x, ",", wit, m)
+    out[4::6] = _column(y, ",", wit, m)
+    out[5::6] = _column(z, ")\n", wit, m)
+    return "".join(out)
+
+
 def write_report(records, bound: int, stream) -> int:
     """Tab-separated per-n verdicts, one block per record, read from
     `record_masks`: INCONSISTENT exactly where its findings fit no verdict.
-    Rows are written _ROWS at a time, so no str or list spans more than a
+
+    Each n gets a one-byte code into a short list of detail strs: 0 for
+    REPRESENTED, then one per ramified prime (LOCALLY_EXCLUDED), one per
+    squareclass entry (EXCEPTIONAL) and one per distinct (represented,
+    failing prime, squareclass) finding among the INCONSISTENT n.  Rows are
+    put together _ROWS at a time by `_format_rows` from references into
+    shared tables (the n's last three digits in `_LOW`, the digits above
+    them, the detail, and each witness coordinate over the slice's range),
+    then joined and written once, so no str or list spans more than a
     slice.  Returns the number of INCONSISTENT rows (0 in a healthy run)."""
     total = 0
     for rec in records:
         rs = enumerate_represented(rec.sgi_forms[0], bound)
         rep = rs.member_mask()
         fail, idx, bad = record_masks(rec, bound, rep)
-        # the detail of every row but REPRESENTED; slice assignment shares
-        # one str (np.full would copy it per n)
-        tail = np.empty(bound + 1, dtype=object)
-        for p in rec.ramified_primes():
-            tail[fail == p] = f"{LOCALLY_EXCLUDED}\tp={p}"
-        for i, (s, t) in enumerate(rec.exceptional_spec):
-            tail[idx == i] = f"{EXCEPTIONAL}\ts={s},t={t}"
-        # the n whose findings fit no verdict (none in a healthy run)
-        for n in np.flatnonzero(bad).tolist():
-            matched = rec.exceptional_spec[idx[n]] if idx[n] >= 0 else None
-            tail[n] = f"{INCONSISTENT}\t{inconsistency(bool(rep[n]), int(fail[n]) or None, matched)}"
-        has_wit = rep & ~bad
-        ok = ~bad[1:]
+        primes, spec = rec.ramified_primes(), rec.exceptional_spec
+        bad_n = np.flatnonzero(bad)
+        found, which = np.unique(
+            np.column_stack((rep[bad_n], fail[bad_n], idx[bad_n])), axis=0, return_inverse=True
+        )
+        details = (
+            [f"\t{REPRESENTED}\t("]
+            + [f"\t{LOCALLY_EXCLUDED}\tp={p}\n" for p in primes]
+            + [f"\t{EXCEPTIONAL}\ts={s},t={t}\n" for s, t in spec]
+            + [
+                f"\t{INCONSISTENT}\t{inconsistency(bool(r), f or None, spec[i] if i >= 0 else None)}\n"
+                for r, f, i in found.tolist()
+            ]
+        )
+        # the first EXCEPTIONAL and the first INCONSISTENT code
+        ex0, bad0 = 1 + len(primes), 1 + len(primes) + len(spec)
+        # fail is 0 or a ramified prime, so one lookup codes every n by it;
+        # a code is one byte up to 256 details
+        lut = np.zeros(max(primes) + 1, dtype=np.min_scalar_type(len(details) - 1))
+        lut[list(primes)] = range(1, ex0)
+        codes = lut[fail]
+        ex = idx >= 0
+        codes[ex] = ex0 + idx[ex].astype(codes.dtype)
+        codes[bad_n] = bad0 + which.ravel()
+        # one pass per code: np.bincount would widen codes to 8 B/n
+        count = [np.count_nonzero(codes[1:] == c) for c in range(bad0)]
         stream.write(
-            f"# record {rec.rid} bound={bound} represented={int(has_wit[1:].sum())}"
-            f" exceptional={int((ok & (idx[1:] >= 0)).sum())}"
-            f" locally_excluded={int((ok & (fail[1:] != 0)).sum())}\n"
+            f"# record {rec.rid} bound={bound} represented={count[0]}"
+            f" exceptional={sum(count[ex0:])} locally_excluded={sum(count[1:ex0])}\n"
         )
         for lo in range(1, bound + 1, _ROWS):
-            rows = tail[lo:lo + _ROWS]
-            wit = np.flatnonzero(has_wit[lo:lo + _ROWS])
-            xyz = zip(*(a.tolist() for a in rs.witnesses(wit + lo)))
-            rows[wit] = [f"{REPRESENTED}\t({x},{y},{z})" for x, y, z in xyz]
-            stream.write("".join([f"{n}\t{detail}\n" for n, detail in enumerate(rows.tolist(), lo)]))
-            rows[:] = None
-        total += int(bad.sum())
+            part = codes[lo:lo + _ROWS]
+            x, y, z = rs.witnesses(np.flatnonzero(part == 0) + lo)
+            stream.write(_format_rows(lo, part, details, x, y, z))
+        total += bad_n.size
     return total
 
 

@@ -626,6 +626,56 @@ class TestReportCommand:
                 tracemalloc.stop()
         assert peak - BLOCK_BYTES <= 40 * bound
 
+    def test_peak_grows_by_under_17_bytes_per_n(self, catalog):
+        # the slope of the peak cancels the scan block and the class tables:
+        # the key, the masks and a one-byte detail code per n (an object
+        # pointer per n, as a shared-str detail column costs, breaks it)
+        rec = catalog.lookup("B11")
+        peaks = []
+        with open(os.devnull, "w") as sink:
+            cli_verify.write_report([rec], 100, sink)
+            for bound in (100000, 300000):
+                tracemalloc.start()
+                try:
+                    cli_verify.write_report([rec], bound, sink)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 17 * 200000
+
+    @pytest.mark.parametrize("lo, codes", (
+        # random codes from just below 10^k, past it and a few thousands
+        *((10**k - 3, None) for k in range(3, 13)),
+        (1, None),
+        (1, [1, 2, 3, 3, 1, 2]),  # no witness row
+        (999, [0]),  # one row
+        (1000, [0]),
+        (123456, [3]),
+    ))
+    def test_format_rows_matches_fstrings(self, lo, codes):
+        verdicts = [
+            (LOCALLY_EXCLUDED, "p=2"), (EXCEPTIONAL, "s=1,t=3"),
+            (INCONSISTENT, "excluded at p=3, in s=2,t=1"),
+        ]
+        details = [f"\t{REPRESENTED}\t("] + [f"\t{v}\t{d}\n" for v, d in verdicts]
+        rng = np.random.default_rng(lo)
+        if codes is None:
+            codes = rng.integers(0, len(details), 2100)
+        codes = np.array(codes, dtype=np.int8)
+        wit = np.flatnonzero(codes == 0)
+        # x >= 0, y and z of both signs, zeros among all three
+        x = rng.integers(0, 40, wit.size)
+        y, z = rng.integers(-40, 40, (2, wit.size))
+        want, w = [], iter(zip(x.tolist(), y.tolist(), z.tolist()))
+        for n, c in enumerate(codes.tolist(), lo):
+            if c == 0:
+                wx, wy, wz = next(w)
+                want.append(f"{n}\t{REPRESENTED}\t({wx},{wy},{wz})\n")
+            else:
+                verdict, detail = verdicts[c - 1]
+                want.append(f"{n}\t{verdict}\t{detail}\n")
+        assert cli_verify._format_rows(lo, codes, details, x, y, z) == "".join(want)
+
     def test_rows_match_pointwise_classify(self, capsys, catalog, tmp_path):
         # classify decides one n at a time (locally_represented,
         # squareclass_match, witness), so it checks the bulk verdict order;
