@@ -16,8 +16,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 from pathlib import Path
 from time import perf_counter
 
@@ -45,15 +44,16 @@ _ROWS = 1 << 12  # rows that write_report formats and writes at a time
 _LOW = np.array([str(v) for v in range(1000)] + [f"{v:03d}" for v in range(1000)], dtype=object)
 
 # Peak bytes per n of one process: the slope of its peak RSS between two
-# bounds on B11 (Python 3.11, numpy 2.4).  verify 24 (route masks and the
-# closed form, B4 alike; 8e5 -> 3.2e6; 9 on A12 and C4, whose peak is the
-# sumset's mask and 8 class rows, and 8 on the other 25 records), report 18
+# bounds on B11 (Python 3.11, numpy 2.4).  verify 9 (8e5 -> 3.2e6 on A12 and
+# C4, whose peak is the sumset's mask and 8 class rows; 8 on B4, B11 and
+# A1, whose peak is the route masks and, on B4 and B11, the closed form's
+# strided classes), report 18
 # (key, masks and a one-byte detail code per n, 15 on A1; 1e5 -> 3e5),
 # classify 10 (key and member mask; 1e6 -> 4e6), exceptional-list 2 (1e6 ->
 # 4e6); the cap adds about a fifth.  Each is at least the scan's own per-n
 # arrays (at most 1 + 8 for verify's sumset, 8 for the keyed scan's key), so
 # with forms_core.BLOCK_BYTES it bounds the scan too.
-_BYTES_PER_N = {"verify": 29, "report": 22, "classify": 12, "exceptional-list": 4}
+_BYTES_PER_N = {"verify": 11, "report": 22, "classify": 12, "exceptional-list": 4}
 
 __all__ = [
     "VerificationReport",
@@ -132,12 +132,59 @@ def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
     )
 
 
+def _verify_share(records, bound: int, conn) -> None:
+    """A worker's body: send its records' reports, or the exception that
+    verifying them raised, through conn."""
+    try:
+        share = [verify_record(rec, bound) for rec in records]
+    except Exception as exc:
+        share = exc
+    conn.send(share)
+    conn.close()
+
+
 def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationReport]:
+    """`verify_record` over records, in record order, by J = min(jobs,
+    len(records)) processes: this one takes records 0, J, 2J, ... and each
+    of J - 1 worker processes one other residue class j mod J, sending its
+    reports back through a pipe.  A worker's exception is raised here, a
+    worker that ends without sending is a RuntimeError naming its exit
+    status, and no worker outlives the call.  `_check_bound` estimates
+    memory once per process."""
     records = list(records)
-    if jobs > 1 and len(records) > 1:
-        with Pool(jobs) as pool:
-            return pool.map(partial(verify_record, bound=bound), records)
-    return [verify_record(rec, bound) for rec in records]
+    jobs = min(jobs, len(records))
+    if jobs <= 1:
+        return [verify_record(rec, bound) for rec in records]
+    workers = []
+    try:
+        for j in range(1, jobs):
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_verify_share, args=(records[j::jobs], bound, send))
+            proc.start()
+            workers.append((proc, recv))
+            send.close()
+        out = [None] * len(records)
+        out[0::jobs] = [verify_record(rec, bound) for rec in records[0::jobs]]
+        # receive before joining: a worker's send blocks until it is read
+        for j, (proc, recv) in enumerate(workers, 1):
+            try:
+                share = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"verify worker {j} exited with status {proc.exitcode} before sending its reports"
+                ) from None
+            if isinstance(share, Exception):
+                raise share
+            out[j::jobs] = share
+        return out
+    finally:
+        # terminated before its pipe closes, a worker still sending dies
+        # quietly rather than with a broken pipe
+        for proc, recv in workers:
+            proc.terminate()
+            proc.join()
+            recv.close()
 
 
 # ----------------------------------------------------------------- report
@@ -244,13 +291,14 @@ def _available_memory() -> int | None:
     return None
 
 
-def _check_bound(command: str, n: int, workers: int = 1) -> None:
+def _check_bound(command: str, n: int, processes: int = 1) -> None:
     """Refuse, before any per-n array exists or any worker starts, a bound
     n below 1, or one whose estimated peak exceeds the memory available:
-    per worker, its per-n bytes and one scan block."""
+    per process (this one and each worker), its per-n bytes and one scan
+    block."""
     if n < 1:
         raise ValueError("bound must be >= 1")
-    need = (_BYTES_PER_N[command] * n + BLOCK_BYTES) * workers
+    need = (_BYTES_PER_N[command] * n + BLOCK_BYTES) * processes
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ValueError(
@@ -290,7 +338,7 @@ def cmd_verify(catalog: CatalogFile, args) -> int:
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     records = _records_for(catalog, args.record)
-    _check_bound("verify", args.bound, args.jobs)
+    _check_bound("verify", args.bound, min(args.jobs, len(records)))
     reports = verify_records(records, args.bound, args.jobs)
     ok = True
     for rep in reports:

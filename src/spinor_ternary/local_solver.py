@@ -45,6 +45,9 @@ __all__ = [
     "genus_represents",
     "first_failing_prime",
     "genus_mask",
+    "LEMMA71_CLASSES",
+    "LEMMA72_CLASSES",
+    "lemma73_classes",
     "lemma71_excluded",
     "lemma72_excluded",
     "lemma73_excluded",
@@ -82,25 +85,45 @@ def unramified_shortcut(form: TernaryForm, p: int) -> bool:
     return form.gram_det() % p != 0
 
 
-# The lemma predicates take an int or an integer numpy array (elementwise).
+# Each lemma's exclusions as (modulus, residue) classes, read both by its
+# predicate below (an int or an integer numpy array, elementwise) and by
+# spinor_theory.closed_form_missed_mask.  No residue is 0, so no class
+# holds n = 0.
+LEMMA71_CLASSES = ((4, 2), (16, 8))
+LEMMA72_CLASSES = ((8, 5), (4, 2), (4, 3), (16, 8), (16, 12))
+
+
+def lemma73_classes(bound) -> list[tuple[int, int]]:
+    """Lemma 7.3's classes up to bound: (3, 2), then one (9^(k+1), 6*9^k)
+    for each 6*9^k <= bound (n = 9^k * m with m = 6 mod 9)."""
+    out, nine = [(3, 2)], 1
+    while 6 * nine <= bound:
+        out.append((9 * nine, 6 * nine))
+        nine *= 9
+    return out
+
+
+def _in_classes(n, classes):
+    out = False
+    for m, r in classes:
+        out = out | (n % m == r)
+    return out
+
 
 def lemma71_excluded(n):
     """2-adic exclusions of a hexagonal-plane-plus-<16> structure."""
-    return (n % 4 == 2) | (n % 16 == 8)
+    return _in_classes(n, LEMMA71_CLASSES)
 
 
 def lemma72_excluded(n):
     """2-adic exclusions of the diagonal <1,16,48> structure."""
-    return (n % 8 == 5) | (n % 4 == 2) | (n % 4 == 3) | (n % 16 == 8) | (n % 16 == 12)
+    return _in_classes(n, LEMMA72_CLASSES)
 
 
 def lemma73_excluded(n):
     """3-adic exclusions of the diagonal <1,3,9> structure: n = 2 mod 3, or
-    n = 9^k * m with m = 6 mod 9, one congruence n = 6*9^k mod 9^(k+1) per k."""
-    out, nine = n % 3 == 2, 1
-    while 6 * nine <= np.max(n, initial=0):
-        out, nine = out | (n % (9 * nine) == 6 * nine), 9 * nine
-    return out
+    n = 9^k * m with m = 6 mod 9."""
+    return _in_classes(n, lemma73_classes(np.max(n, initial=0)))
 
 
 # ---------------------------------------------------------------------------

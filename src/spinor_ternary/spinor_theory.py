@@ -14,7 +14,7 @@ import numpy as np
 
 from .arith import factor, in_local_norm_group, is_padic_square, ord_p
 from .forms_core import RepresentedSet, Witness
-from .local_solver import lemma71_excluded, lemma72_excluded, lemma73_excluded, locally_represented
+from .local_solver import LEMMA71_CLASSES, LEMMA72_CLASSES, lemma73_classes, locally_represented
 
 __all__ = [
     "Classification",
@@ -238,13 +238,15 @@ def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
 
 def closed_form_missed_mask(rid: str, bound: int) -> np.ndarray | None:
     """For B4 and B11: the non-represented set as congruence classes plus
-    squareclasses, assembled from the per-prime exclusion predicates
-    (each False at n = 0).  None for every other record."""
+    squareclasses, each lemma's (modulus, residue) classes marked by a
+    strided slice (no class holds n = 0).  None for every other record."""
     if rid not in ("B4", "B11"):
         return None
-    n = np.arange(bound + 1)
-    two_adic = lemma71_excluded(n) if rid == "B4" else lemma72_excluded(n)
-    return two_adic | lemma73_excluded(n) | squareclass_mask(((1, 3), (4, 3)), bound)
+    out = squareclass_mask(((1, 3), (4, 3)), bound)
+    two_adic = LEMMA71_CLASSES if rid == "B4" else LEMMA72_CLASSES
+    for m, r in (*two_adic, *lemma73_classes(bound)):
+        out[r::m] = True
+    return out
 
 
 def classify(record, n: int, represented: RepresentedSet) -> Classification:

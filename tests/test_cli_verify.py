@@ -2,6 +2,7 @@
 bulk verification masks behind the verify subcommand."""
 
 import hashlib
+import multiprocessing
 import os
 import re
 import tracemalloc
@@ -242,6 +243,32 @@ class TestMasks:
         assert closed_form_missed_mask("B4", 50) is not None
         assert closed_form_missed_mask("B11", 50) is not None
 
+    @pytest.mark.parametrize("bound", (1, 5, 6, 53, 54, 485, 486, 3 * 10**5))
+    def test_closed_form_marks_the_predicates_classes(self, bound):
+        # the strided classes of the mask and the lemma predicates read one
+        # list per lemma; bounds step across 6*9^k
+        n = np.arange(bound + 1)
+        scl = squareclass_mask(((1, 3), (4, 3)), bound)
+        for rid, two_adic in (("B4", local_solver.lemma71_excluded), ("B11", local_solver.lemma72_excluded)):
+            want = two_adic(n) | local_solver.lemma73_excluded(n) | scl
+            assert not want[0]
+            assert np.array_equal(closed_form_missed_mask(rid, bound), want), rid
+
+    def test_closed_form_peak_grows_by_under_3_bytes_per_n(self):
+        # the result and route 2's int8 squareclass index; an int64 arange
+        # and its n % m temporaries cost 19 B/n
+        for rid in ("B4", "B11"):
+            closed_form_missed_mask(rid, 100)
+            peaks = []
+            for bound in (100000, 300000):
+                tracemalloc.start()
+                try:
+                    closed_form_missed_mask(rid, bound)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] - peaks[0] <= 3 * 200000, rid
+
 
 class TestClassifyCommand:
     def test_exceptional(self, capsys):
@@ -429,7 +456,7 @@ class TestVerifyCommand:
         # refused before the memory cap and before any worker starts: either
         # would end in another message
         monkeypatch.setattr(cli_verify, "_available_memory", lambda: 0)
-        monkeypatch.setattr(cli_verify, "Pool", None)
+        monkeypatch.setattr(cli_verify, "Process", None)
         code, out, err = run(capsys, *argv.split())
         assert code == 2
         assert out == ""
@@ -458,16 +485,45 @@ class TestVerifyCommand:
             "101cd3ec333a97ff2c40284e88e00677899360f7efc524b253a4085b9f611693"
         )
 
-    def test_failing_run_bytes(self, capsys, catalog, tmp_path):
+    @pytest.mark.parametrize("jobs", ("1", "2"))
+    def test_failing_run_bytes(self, capsys, catalog, tmp_path, jobs):
         # pins the summaries, the MISMATCH lines and their order of a
-        # failing run; the other 28 records still pass
+        # failing run; the other 28 records still pass.  Under --jobs 2,
+        # B3's MISMATCH lines come from a worker's share
         path = tmp_path / "bad.txt"
         path.write_text(dumps(catalog).replace("exceptional 3M3", "exceptional M1"))
-        code, out, _ = run(capsys, "--catalog", str(path), "verify", "all", "--bound", "3000")
+        code, out, _ = run(
+            capsys, "--catalog", str(path), "verify", "all", "--bound", "3000", "--jobs", jobs
+        )
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "136d2deb9f911512dec69443d0f48be89efe66bd0eef638a5b14161c95dc8a95"
         )
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched verify_record reaches a worker only by fork",
+    )
+    @pytest.mark.parametrize("rid, fault, err", (
+        ("A1", "raise", "error: no order cutoff recorded for A1 at p=2\n"),
+        ("A2", "raise", "error: no order cutoff recorded for A2 at p=2\n"),
+        ("A2", "exit", "error: RuntimeError: verify worker 1 exited with status 3 before sending its reports\n"),
+    ), ids=("parent-raises", "worker-raises", "worker-exits"))
+    def test_failing_worker(self, capsys, monkeypatch, rid, fault, err):
+        # A1 is in this process's share of --jobs 2, A2 in the worker's
+        real = cli_verify.verify_record
+
+        def faulty(rec, bound):
+            if rec.rid == rid:
+                if fault == "exit":
+                    os._exit(3)
+                raise ValueError(f"no order cutoff recorded for {rid} at p=2")
+            return real(rec, bound)
+
+        monkeypatch.setattr(cli_verify, "verify_record", faulty)
+        code, out, stderr = run(capsys, "verify", "all", "--bound", "300", "--jobs", "2")
+        assert (code, out, stderr) == (2, "", err)
+        assert multiprocessing.active_children() == []
 
     def test_mismatch_exit_status(self, capsys, catalog, tmp_path):
         # a deliberately wrong squareclass spec must surface as mismatches
