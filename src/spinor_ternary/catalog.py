@@ -10,13 +10,14 @@ blank-line-separated records of `id`/`delta`/`sgi`/`sgii`/`local`/
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arith import is_padic_square, normgroup_is_closed
+from .arith import is_padic_square, normgroup_is_closed, ord_p
 from .forms_core import TernaryForm, is_positive_definite
 
 __all__ = [
@@ -335,6 +336,19 @@ def _validate_local(rec: GenusRecord, data: LocalData) -> None:
             raise CatalogError(f"{where}: lambda/subcase only belong on the p=2 line")
         if data.cutoff is None:
             raise CatalogError(f"{where}: splitting shape {exps} has no order bound")
+        # the exponents are the p-orders of M_F's elementary divisors, read
+        # off the gcd of its entries, the gcd of its 2x2 minors (the
+        # adjugate's entries) and det(M_F); 2 between M_F and the Gram
+        # matrix is a unit at odd p
+        for form in rec.all_forms():
+            g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
+            g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
+            orders = [g1, g2 - g1, ord_p(p, form.gram_det()) - g2]
+            if orders != exps:
+                raise CatalogError(
+                    f"{where}: {form} has elementary divisor orders {orders}, "
+                    f"splitting exponents {exps}"
+                )
 
 
 def _validate(catalog: CatalogFile) -> None:
@@ -429,7 +443,12 @@ def load_catalog(path) -> CatalogFile:
     return loads(Path(path).read_text())
 
 
+@functools.cache
 def load_default_catalog() -> CatalogFile:
+    """The embedded catalog, read, parsed and validated on the first call in
+    a process; every later call returns that same CatalogFile.  Every caller
+    in the process shares its records, so none may mutate them (a record's
+    `local_data` is a plain dict)."""
     text = (
         importlib.resources.files("spinor_ternary")
         .joinpath("data/catalog.txt")

@@ -13,6 +13,7 @@ the memory available, and for any unexpected error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -398,7 +399,10 @@ def cmd_catalog_dump(catalog: CatalogFile, args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it keeps no state
+    between parse_args calls."""
     parser = argparse.ArgumentParser(
         prog="spinor-ternary",
         description="classify and verify integers against the 29 spinor "
@@ -410,43 +414,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="verdict for one integer")
     p.add_argument("record")
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="three-way set equality check")
     p.add_argument("record", help="record id or 'all'")
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("local", help="certified p-adic verdict")
     p.add_argument("record")
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_local)
 
     p = sub.add_parser("exceptional-list", help="exceptional integers up to a bound")
     p.add_argument("record")
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    p.set_defaults(func=cmd_exceptional_list)
 
     p = sub.add_parser("report", help="tab-separated verdict per integer")
     p.add_argument("record", help="record id or 'all'")
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     p.add_argument("--output", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("catalog-dump", help="print the catalog in its file format")
     p.add_argument("--output", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_catalog_dump)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # found by name at call time: the shared parser binds no function
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         catalog = load_catalog(args.catalog) if args.catalog else load_default_catalog()
-        return args.func(catalog, args)
+        return command(catalog, args)
     except (BoundOverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

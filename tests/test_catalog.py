@@ -11,6 +11,7 @@ from spinor_ternary.catalog import (
     CatalogError,
     dumps,
     load_catalog,
+    load_default_catalog,
     loads,
 )
 from spinor_ternary.forms_core import TernaryForm
@@ -121,6 +122,9 @@ class TestRoundTrip:
         path = tmp_path / "cat.txt"
         path.write_text(dumps(catalog))
         assert load_catalog(path) == catalog
+
+    def test_default_catalog_built_once_per_process(self):
+        assert load_default_catalog() is load_default_catalog()
 
 
 class TestParsing:
@@ -310,8 +314,8 @@ class TestLocalDataConsistency:
                     ), (rec.rid, p, n)
 
     def test_odd_exponents_match_elementary_divisors(self, catalog):
-        # checked here rather than at load: it would add about a quarter to
-        # every catalog load, and a point query is mostly catalog load
+        # every load makes this check too (catalog._validate_local); the
+        # helper is the independent reference for it
         odd = [(rec.rid, p) for rec in catalog.records for p in rec.local_data if p != 2]
         assert len(odd) == 16
         assert odd_exponent_mismatches(catalog) == []
@@ -324,10 +328,15 @@ class TestLocalDataConsistency:
         ],
     )
     def test_odd_exponent_edit_caught(self, catalog, rid, old, new):
-        # the edit keeps the determinant squareclass and the cutoff, so the
-        # catalog still loads; only the elementary divisors tell
-        edited = loads(doctored(catalog, old, new))
-        assert {m[0] for m in odd_exponent_mismatches(edited)} == {rid}
+        # the edit keeps the determinant squareclass and the cutoff; only the
+        # elementary divisors tell, and loading checks them
+        p = old.split()[1]
+        with pytest.raises(
+            CatalogError,
+            match=rf"^record {rid}, p={p}: \(.*\) has elementary divisor orders "
+            r"\[0, 1, 2\], splitting exponents \[0, 2, 3\]$",
+        ):
+            loads(doctored(catalog, old, new))
 
     def test_specs_stay_in_known_semigroups(self, catalog):
         for rec in catalog.records:

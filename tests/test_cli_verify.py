@@ -885,6 +885,45 @@ class TestRepeatedMain:
         assert code == 0 and out.startswith("A1 bound=100 ") and jobs == [1]
 
 
+    def test_catalog_file_read_on_every_call(self, capsys, catalog, tmp_path):
+        path = tmp_path / "cat.txt"
+        path.write_text(dumps(catalog))
+        argv = ("--catalog", str(path), "classify", "A8", "9")
+        assert run(capsys, *argv) == (0, "EXCEPTIONAL, matched (s=1, t=2)\n", "")
+        path.write_text(dumps(catalog).replace("exceptional 3M3", "exceptional 3X3"))
+        assert run(capsys, *argv) == (2, "", "error: record B3: bad squareclass token '3X3'\n")
+        # the embedded catalog, built before the edit, is untouched by it
+        assert run(capsys, "classify", "A8", "9") == (0, "EXCEPTIONAL, matched (s=1, t=2)\n", "")
+
+    def test_reused_parser_keeps_no_state(self, capsys):
+        calls = [
+            ("local", "B11", "3", "48"),
+            ("classify", "A1", "1000"),
+            ("verify", "B11", "--bound", "100"),
+            ("frobnicate",),
+            ("local", "B11", "3", "48"),
+        ]
+
+        def call(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            # verify's stderr carries its wall time
+            return code, out, re.sub(r"\d+\.\d+s$", "", err, flags=re.M)
+
+        alone = []
+        for argv in calls:
+            cli_verify._build_parser.cache_clear()
+            alone.append(call(argv))
+        assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0]
+        cli_verify._build_parser.cache_clear()
+        parser = cli_verify._build_parser()
+        assert [call(argv) for argv in calls] == alone
+        assert cli_verify._build_parser() is parser
+
+
 class TestVerifyRecordCounts:
     def test_partition_sums_to_bound(self, catalog):
         rep = verify_record(catalog.lookup("A1"), 500)
