@@ -17,8 +17,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arith import is_padic_square, normgroup_is_closed, ord_p
+from .arith import is_padic_square, normgroup_is_closed
 from .forms_core import TernaryForm, is_positive_definite
+from .local_solver import elementary_orders
 
 __all__ = [
     "CatalogError",
@@ -33,10 +34,6 @@ __all__ = [
 ]
 
 _EXC_TOKEN = re.compile(r"^(\d*)M(\d+)$")
-_SUBCASES = {
-    "(b)(i)", "(b)(ii)", "(b)(iii)", "(b)(iv)", "(c)(iii)",
-    "(i)(alpha)", "(i)(beta)", "(ii)(alpha)", "(ii)(beta)", "(ii)(gamma)",
-}
 # order cutoff at an odd ramified prime, by the splitting's exponent triple;
 # only B3 at p = 3 has (0, 1, 3), and no verdict depends on its 2: with 1,
 # `verify all --bound 200000` prints the same bytes
@@ -113,7 +110,6 @@ class LocalData:
     splitting: LocalSplitting
     theta: tuple[int, ...]
     lam: int | None = None          # order cutoff at 2; groups A and B only
-    subcase: str | None = None      # label of the tabulated 2-adic structure case
 
     @property
     def cutoff(self) -> int | None:
@@ -196,7 +192,6 @@ def _parse_local(rest: str, where: str) -> LocalData:
     splitting = None
     theta = None
     lam = None
-    subcase = None
     seen = set()
     for tok in toks[1:]:
         key, sep, val = tok.partition("=")
@@ -215,13 +210,11 @@ def _parse_local(rest: str, where: str) -> LocalData:
                 raise CatalogError(f"{where}: bad theta '0'")
         elif key == "lambda":
             lam = _parse_int(val, "lambda", where)
-        elif key == "subcase":
-            subcase = val
         else:
             raise CatalogError(f"{where}: unknown token {tok!r}")
     if splitting is None or theta is None:
         raise CatalogError(f"{where}: local line needs splitting= and theta=")
-    return LocalData(splitting, theta, lam, subcase)
+    return LocalData(splitting, theta, lam)
 
 
 def _parse_exceptional(rest: str, where: str) -> tuple[tuple[int, int], ...]:
@@ -329,21 +322,15 @@ def _validate_local(rec: GenusRecord, data: LocalData) -> None:
             raise CatalogError(f"{where}: lambda presence wrong for group {rec.group}")
         if data.lam is not None and data.lam < 1:
             raise CatalogError(f"{where}: lambda must be >= 1")
-        if data.subcase is not None and data.subcase not in _SUBCASES:
-            raise CatalogError(f"{where}: unknown subcase {data.subcase!r}")
     else:
-        if data.lam is not None or data.subcase is not None:
-            raise CatalogError(f"{where}: lambda/subcase only belong on the p=2 line")
+        if data.lam is not None:
+            raise CatalogError(f"{where}: lambda only belongs on the p=2 line")
         if data.cutoff is None:
             raise CatalogError(f"{where}: splitting shape {exps} has no order bound")
-        # the exponents are the p-orders of M_F's elementary divisors, read
-        # off the gcd of its entries, the gcd of its 2x2 minors (the
-        # adjugate's entries) and det(M_F); 2 between M_F and the Gram
-        # matrix is a unit at odd p
+        # the exponents are the p-orders of M_F's elementary divisors; 2
+        # between M_F and the Gram matrix is a unit at odd p
         for form in rec.all_forms():
-            g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
-            g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
-            orders = [g1, g2 - g1, ord_p(p, form.gram_det()) - g2]
+            orders = elementary_orders(form, p)
             if orders != exps:
                 raise CatalogError(
                     f"{where}: {form} has elementary divisor orders {orders}, "
@@ -427,8 +414,6 @@ def dumps(catalog: CatalogFile) -> str:
             line += " theta={" + ",".join(str(g) for g in data.theta) + "}"
             if data.lam is not None:
                 line += f" lambda={data.lam}"
-            if data.subcase is not None:
-                line += f" subcase={data.subcase}"
             out.append(line)
         out.append(
             "exceptional " + " ".join(_exc_token(s, t) for s, t in rec.exceptional_spec)

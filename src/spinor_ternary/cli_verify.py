@@ -146,16 +146,14 @@ def _verify_share(records, bound: int, conn) -> None:
 
 def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationReport]:
     """`verify_record` over records, in record order, by J = min(jobs,
-    len(records)) processes: this one takes records 0, J, 2J, ... and each
-    of J - 1 worker processes one other residue class j mod J, sending its
-    reports back through a pipe.  A worker's exception is raised here, a
-    worker that ends without sending is a RuntimeError naming its exit
-    status, and no worker outlives the call.  `_check_bound` estimates
-    memory once per process."""
+    len(records)) processes, at least one: this one takes records 0, J,
+    2J, ... and each of J - 1 worker processes one other residue class j
+    mod J, sending its reports back through a pipe.  A worker's exception
+    is raised here, a worker that ends without sending is a RuntimeError
+    naming its exit status, and no worker outlives the call.
+    `_check_bound` estimates memory once per process."""
     records = list(records)
-    jobs = min(jobs, len(records))
-    if jobs <= 1:
-        return [verify_record(rec, bound) for rec in records]
+    jobs = max(1, min(jobs, len(records)))
     workers = []
     try:
         for j in range(1, jobs):

@@ -28,6 +28,7 @@ table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,6 +53,7 @@ __all__ = [
     "lemma72_excluded",
     "lemma73_excluded",
     "verify_certificate",
+    "elementary_orders",
 ]
 
 
@@ -130,14 +132,16 @@ def lemma73_excluded(n):
 # class tree
 
 
-def _smith_e3(form: TernaryForm, p: int) -> int:
-    """p-order e3 of the largest elementary divisor of M_F."""
-    adj = form.gram_adjugate()
+def elementary_orders(form: TernaryForm, p: int) -> list[int]:
+    """[e1, e2, e3]: the p-orders of M_F's elementary divisors, read off the
+    gcd of its entries, the gcd of its 2x2 minors (the adjugate's entries)
+    and det(M_F)."""
     det = form.gram_det()
     if det == 0:
         raise ValueError(f"degenerate form: {form}")
-    d2 = min(ord_p(p, t) for row in adj for t in row if t != 0)
-    return ord_p(p, det) - d2
+    g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
+    g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
+    return [g1, g2 - g1, ord_p(p, det) - g2]
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +163,7 @@ def _class_tree(form: TernaryForm, p: int):
     rows holds only rows that first references.
     """
     m = form.gram_doubled()
-    e3 = _smith_e3(form, p)
+    e3 = elementary_orders(form, p)[2]
     j = 2 * e3 + 1
     r = np.arange(p, dtype=np.int64)
     offs = [a.ravel() for a in np.meshgrid(r, r, r, indexing="ij")]

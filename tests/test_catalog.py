@@ -162,7 +162,7 @@ class TestParsing:
         "old, new, match",
         [
             ("delta 64", "delta x64", r"record A1: bad delta 'x64'"),
-            (" lambda=1 ", " lambda=one ", r"record A1: bad lambda 'one'"),
+            (" lambda=1\n", " lambda=one\n", r"record A1: bad lambda 'one'"),
             ("theta={1,2,5,10}", "theta={1,2,5,1O}", r"record A1: bad theta '1O'"),
         ],
     )
@@ -197,15 +197,11 @@ class TestValidation:
 
     def test_lambda_required_in_group_a(self, catalog):
         with pytest.raises(CatalogError, match="lambda"):
-            loads(doctored(catalog, " lambda=1 subcase=(b)(iii)", " subcase=(b)(iii)"))
+            loads(doctored(catalog, " lambda=1\n", "\n"))
 
     def test_non_unit_diagonal(self, catalog):
         with pytest.raises(CatalogError, match="non-unit"):
             loads(doctored(catalog, "splitting=1:0,1:0,1:4", "splitting=2:0,1:0,1:4"))
-
-    def test_unknown_subcase(self, catalog):
-        with pytest.raises(CatalogError, match="subcase"):
-            loads(doctored(catalog, "subcase=(b)(iii)", "subcase=(z)(ix)"))
 
 
 class TestRejectedText:
@@ -214,14 +210,14 @@ class TestRejectedText:
         [
             ("sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2,x",
              "record A1: invalid literal for int() with base 10: 'x'"),
-            ("local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1 subcase=(b)(iii)",
+            ("local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1",
              "local", "record A1: empty local line"),
             ("theta={1,2,5,10}", "theta=1,2,5,10",
              "record A1: theta wants {..}, got '1,2,5,10'"),
             (" theta={1,2,5,10}", "", "record A1: local line needs splitting= and theta="),
             ("exceptional M1\n", "exceptional\n", "record A1: empty exceptional line"),
             ("id A1\ndelta 64", "delta 64\nid A1", "line 3: record must start with an id line"),
-            ("subcase=(b)(iii)\n", "subcase=(b)(iii)\nlocal 2 splitting=1:0 theta={1}\n",
+            (" lambda=1\n", " lambda=1\nlocal 2 splitting=1:0 theta={1}\n",
              "record A1: duplicate local line for p=2"),
             ("delta 64\n", "delta 64\ngamma 1\n", "line 5: unknown key 'gamma'"),
             ("delta 64\n", "", "record A1: missing delta or exceptional line"),
@@ -236,7 +232,10 @@ class TestRejectedText:
             # read off the form
             ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} scaled",
              "record B1: unknown token 'scaled'"),
-            ("subcase=(b)(iii)\n", "subcase=(b)(iii) scaled\n", "record A1: unknown token 'scaled'"),
+            (" lambda=1\n", " lambda=1 scaled\n", "record A1: unknown token 'scaled'"),
+            # the 2-adic structure label no route read
+            (" lambda=1\n", " lambda=1 subcase=(b)(iii)\n",
+             "record A1: unknown token 'subcase=(b)(iii)'"),
             # the determinant enforces the scale: a splitting's determinant
             # is in the squareclass of delta for A1's even form, and of
             # 2 * delta for B1's odd one
@@ -246,7 +245,7 @@ class TestRejectedText:
              "record B1, p=2: splitting determinant in the wrong squareclass"),
             ("splitting=1:0,1:0,1:4", "splitting=1:0,3:0,1:4",
              "record A1, p=2: splitting determinant in the wrong squareclass"),
-            (" lambda=1 ", " lambda=0 ", "record A1, p=2: lambda must be >= 1"),
+            (" lambda=1\n", " lambda=0\n", "record A1, p=2: lambda must be >= 1"),
             # a negative exponent would make the Gram determinant a fraction:
             # at an odd p legendre got a float, at p = 2 the record loaded
             ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:-1,1:1,1:2",
@@ -256,7 +255,7 @@ class TestRejectedText:
             # 0 is no squareclass
             ("theta={1,2,5,10}", "theta={1,0,5,10}", "record A1: bad theta '0'"),
             ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} lambda=1",
-             "record B1, p=3: lambda/subcase only belong on the p=2 line"),
+             "record B1, p=3: lambda only belongs on the p=2 line"),
             ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:0,1:0,1:3",
              "record B1, p=3: splitting shape [0, 0, 3] has no order bound"),
             ("id B7", "id A14", "group counts off: {'A': 14, 'B': 11, 'C': 4}"),
@@ -286,9 +285,7 @@ class TestRejectedText:
              "record A1: duplicate splitting on the p=2 local line"),
             ("theta={1,2,5,10}", "theta={1,2,5,10} theta={1,5}",
              "record A1: duplicate theta on the p=2 local line"),
-            (" lambda=1 ", " lambda=1 lambda=2 ", "record A1: duplicate lambda on the p=2 local line"),
-            ("subcase=(b)(iii)", "subcase=(b)(iii) subcase=(b)(i)",
-             "record A1: duplicate subcase on the p=2 local line"),
+            (" lambda=1\n", " lambda=1 lambda=2\n", "record A1: duplicate lambda on the p=2 local line"),
         ],
     )
     def test_message(self, catalog, old, new, message):

@@ -442,6 +442,8 @@ class TestVerifyCommand:
         assert out1 == out2
         assert len(out1.splitlines()) == 29
         assert all(line.endswith("PASS") for line in out1.splitlines())
+        # no records: no worker, and no zero slice step
+        assert cli_verify.verify_records([], 300, 1) == cli_verify.verify_records([], 300, 2) == []
 
     @pytest.mark.parametrize("jobs", (0, (os.cpu_count() or 1) + 1))
     def test_jobs_out_of_range(self, capsys, jobs):

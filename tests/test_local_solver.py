@@ -12,11 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinor_ternary import load_default_catalog
+from spinor_ternary.arith import ord_p
 from spinor_ternary.catalog import LocalSplitting
 from spinor_ternary.forms_core import TernaryForm, evaluate, is_positive_definite, represented_mask
 from spinor_ternary.local_solver import (
     _class_tree,
-    _smith_e3,
+    elementary_orders,
     genus_mask,
     genus_represents,
     lemma71_excluded,
@@ -47,7 +48,7 @@ def unpruned_class_tree(form: TernaryForm, p: int):
     is split down to its level, and the levels are written deepest first,
     so a shallower one overwrites."""
     m = form.gram_doubled()
-    e3 = _smith_e3(form, p)
+    e3 = elementary_orders(form, p)[2]
     r = np.arange(p, dtype=np.int64)
     offs = [a.ravel() for a in np.meshgrid(r, r, r, indexing="ij")]
     v = [a[1:] for a in offs]
@@ -260,6 +261,16 @@ class TestLocalRepresents:
 
 
 class TestClassTree:
+    def test_elementary_orders_of_diagonal_forms(self):
+        # M_F = diag(2a, 2b, 2c): the orders are the diagonal's, sorted,
+        # also where p divides every entry (no catalog form at odd p)
+        for a, b, c in ((9, 16, 48), (27, 48, 144), (3, 3, 3), (1, 1, 1), (5, 25, 50)):
+            for p in (2, 3, 5):
+                want = sorted(ord_p(p, 2 * x) for x in (a, b, c))
+                assert elementary_orders(TernaryForm(a, b, c, 0, 0, 0), p) == want, (a, b, c, p)
+        with pytest.raises(ValueError, match="degenerate"):
+            elementary_orders(TernaryForm(1, 1, 0, 0, 0, 0), 3)
+
     def test_one_decided_class_per_residue(self):
         rows = 0
         for form, p in RAMIFIED:
