@@ -203,6 +203,11 @@ class TestValidation:
         with pytest.raises(CatalogError, match="non-unit"):
             loads(doctored(catalog, "splitting=1:0,1:0,1:4", "splitting=2:0,1:0,1:4"))
 
+    def test_unknown_subcase(self, catalog):
+        # subcase is no key of a local line, so any label is an unknown token
+        with pytest.raises(CatalogError, match=r"unknown token 'subcase=\(z\)\(ix\)'"):
+            loads(doctored(catalog, " lambda=1\n", " lambda=1 subcase=(z)(ix)\n"))
+
 
 class TestRejectedText:
     @pytest.mark.parametrize(
