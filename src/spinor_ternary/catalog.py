@@ -60,18 +60,6 @@ class LocalSplitting:
     def exponents(self) -> list[int]:
         return [c[-1] for c in self.components]
 
-    def gram_det(self) -> int:
-        """Determinant of the splitting's Gram matrix."""
-        det = 1
-        for c in self.components:
-            if c[0] == "diag":
-                det *= c[1] * self.p ** c[2]
-            elif c[0] == "H":
-                det *= -(4**c[1])
-            else:  # A
-                det *= 3 * 4 ** c[1]
-        return det
-
     def to_form(self) -> TernaryForm:
         """A ternary form whose doubled Gram matrix is twice the splitting's
         Gram matrix, so the form takes exactly the splitting's values."""
@@ -309,10 +297,15 @@ def _validate_local(rec: GenusRecord, data: LocalData) -> None:
                 raise CatalogError(f"{where}: non-unit diagonal {comp[1]}")
         elif p != 2:
             raise CatalogError(f"{where}: {comp[0]}-plane only makes sense at p=2")
-    # an odd cross coefficient: the 2-adic splitting is of the lattice scaled by 2
-    scaled = p == 2 and any(x % 2 for x in rec.sgi_forms[0].coeffs()[3:])
-    eff = 2 * rec.delta if scaled else rec.delta
-    if not is_padic_square(p, s.gram_det() * eff):
+    # the splitting's form is compared with every form of the record over
+    # Z_p; an odd cross coefficient: the 2-adic splitting is of the lattice
+    # scaled by 2, so it is compared with the doubled forms
+    split = s.to_form()
+    forms = rec.all_forms()
+    if p == 2 and any(x % 2 for x in forms[0].coeffs()[3:]):
+        forms = tuple(TernaryForm(*(2 * x for x in form.coeffs())) for form in forms)
+    # every form has determinant 2*delta (checked before this)
+    if not is_padic_square(p, split.gram_det() * forms[0].gram_det()):
         raise CatalogError(f"{where}: splitting determinant in the wrong squareclass")
     if 1 not in data.theta or not normgroup_is_closed(p, data.theta):
         raise CatalogError(f"{where}: theta not a group modulo squares")
@@ -327,15 +320,17 @@ def _validate_local(rec: GenusRecord, data: LocalData) -> None:
             raise CatalogError(f"{where}: lambda only belongs on the p=2 line")
         if data.cutoff is None:
             raise CatalogError(f"{where}: splitting shape {exps} has no order bound")
-        # the exponents are the p-orders of M_F's elementary divisors; 2
-        # between M_F and the Gram matrix is a unit at odd p
-        for form in rec.all_forms():
-            orders = elementary_orders(form, p)
-            if orders != exps:
-                raise CatalogError(
-                    f"{where}: {form} has elementary divisor orders {orders}, "
-                    f"splitting exponents {exps}"
-                )
+    # both lists are printed at the splitting's scale: M_F is twice the
+    # Gram matrix, and 2 is a unit at odd p
+    want = elementary_orders(split, p)
+    shift = 1 if p == 2 else 0
+    for form, shown in zip(forms, rec.all_forms()):
+        orders = elementary_orders(form, p)
+        if orders != want:
+            raise CatalogError(
+                f"{where}: {shown} has elementary divisor orders "
+                f"{[e - shift for e in orders]}, splitting exponents {[e - shift for e in want]}"
+            )
 
 
 def _validate(catalog: CatalogFile) -> None:

@@ -99,16 +99,10 @@ class TernaryForm:
         return [[2 * a, f, e], [f, 2 * b, d], [e, d, 2 * c]]
 
     def gram_adjugate(self) -> list[list[int]]:
-        """adj(M_F), satisfying adj(M_F) @ M_F = det(M_F) * I."""
-        m = self.gram_doubled()
-        return [
-            [
-                m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-                for i in range(3)
-            ]
-            for j in range(3)
-        ]
+        """adj(M_F), satisfying adj(M_F) @ M_F = det(M_F) * I, in closed form."""
+        a, b, c, d, e, f = self.coeffs()
+        u, v, w = d * e - 2 * c * f, d * f - 2 * b * e, e * f - 2 * a * d
+        return [[4 * b * c - d * d, u, v], [u, 4 * a * c - e * e, w], [v, w, 4 * a * b - f * f]]
 
     def gram_det(self) -> int:
         """det(M_F), in closed form."""

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spinor_ternary.arith import factor, hilbert
-from spinor_ternary.forms_core import discriminant, evaluate, represented_mask
+from spinor_ternary.forms_core import discriminant, represented_mask
 from spinor_ternary.local_solver import (
     genus_mask,
     lemma71_excluded,

@@ -33,24 +33,47 @@ def odd_cross(form: TernaryForm) -> bool:
     return any(x % 2 for x in form.coeffs()[3:])
 
 
-def odd_exponent_mismatches(catalog) -> list[tuple[str, int, TernaryForm, list[int]]]:
-    """Every (record, odd p, form, orders) where the p-orders of the
-    elementary divisors of M_F differ from the local line's splitting
-    exponents.  The orders come from the gcd of M_F's entries, the gcd of
-    its 2x2 minors (the adjugate's entries) and det(M_F); at odd p the
-    factor 2 between M_F and the Gram matrix is a unit."""
+def exponent_mismatches(catalog) -> list[tuple[str, int, TernaryForm, list[int]]]:
+    """Every (record, p, form, orders) where the p-orders of the elementary
+    divisors of M_F differ from the local line's splitting exponents, a
+    plane counted twice.  The orders come from the gcd of M_F's entries, the
+    gcd of its 2x2 minors (the adjugate's entries) and det(M_F).  M_F is
+    twice the Gram matrix: at odd p the 2 is a unit, and at p = 2 each order
+    is one more than the splitting's, unless an odd cross coefficient makes
+    the splitting that of the lattice rescaled by 2, whose Gram matrix is M_F."""
     out = []
     for rec in catalog.records:
         for p, data in rec.local_data.items():
-            if p == 2:
-                continue
+            exps = [
+                c[-1] for c in data.splitting.components for _ in range(1 if c[0] == "diag" else 2)
+            ]
             for form in rec.all_forms():
+                shift = 1 if p == 2 and not odd_cross(form) else 0
                 g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
                 g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
-                orders = [g1, g2 - g1, ord_p(p, form.gram_det()) - g2]
-                if orders != data.splitting.exponents():
+                orders = [g1 - shift, g2 - g1 - shift, ord_p(p, form.gram_det()) - g2 - shift]
+                if orders != exps:
                     out.append((rec.rid, p, form, orders))
     return out
+
+
+def two_adic_exponent_edits(catalog):
+    """Every one-step edit of one exponent on a `local 2` line, as (record
+    id, whether the token is a plane, the edited exponents with a plane
+    counted once, the edited catalog text)."""
+    blocks = dumps(catalog).split("\n\n")
+    for i, block in enumerate(blocks[1:], start=1):
+        rid = block.split("\n", 1)[0].removeprefix("id ")
+        m = re.search(r"^local 2 splitting=(\S+)", block, re.M)
+        toks = m.group(1).split(",")
+        for k, tok in enumerate(toks):
+            head, exp = tok.split(":")
+            for step in (-1, 1):
+                new = toks[:k] + [f"{head}:{int(exp) + step}"] + toks[k + 1 :]
+                edited = block[: m.start(1)] + ",".join(new) + block[m.end(1) :]
+                exps = [int(t.split(":")[1]) for t in new]
+                text = "\n\n".join(blocks[:i] + [edited] + blocks[i + 1 :])
+                yield rid, head in ("H", "A"), exps, text
 
 
 class TestShape:
@@ -316,11 +339,12 @@ class TestLocalDataConsistency:
                     ), (rec.rid, p, n)
 
     def test_odd_exponents_match_elementary_divisors(self, catalog):
-        # every load makes this check too (catalog._validate_local); the
-        # helper is the independent reference for it
-        odd = [(rec.rid, p) for rec in catalog.records for p in rec.local_data if p != 2]
-        assert len(odd) == 16
-        assert odd_exponent_mismatches(catalog) == []
+        # every load makes this check too (catalog._validate_local), at
+        # every ramified prime; the helper is the independent reference for it
+        lines = [p for rec in catalog.records for p in rec.local_data]
+        assert len(lines) == 45
+        assert sum(p != 2 for p in lines) == 16
+        assert exponent_mismatches(catalog) == []
 
     @pytest.mark.parametrize(
         "rid, old, new",
@@ -339,6 +363,29 @@ class TestLocalDataConsistency:
             r"\[0, 1, 2\], splitting exponents \[0, 2, 3\]$",
         ):
             loads(doctored(catalog, old, new))
+
+    def test_two_adic_exponent_edits_caught(self, catalog):
+        # a plane's exponent moves the determinant by a square, so the 20
+        # plane edits that keep the exponents nonnegative and nondecreasing
+        # pass every other check; only the elementary divisors tell
+        edits = list(two_adic_exponent_edits(catalog))
+        assert len(edits) == 148
+        caught = []
+        for rid, plane, exps, text in edits:
+            with pytest.raises(CatalogError) as err:
+                loads(text)
+            if plane and exps == sorted(exps) and exps[0] >= 0:
+                assert re.match(
+                    rf"record {rid}, p=2: \(.*\) has elementary divisor orders \[.*\], "
+                    r"splitting exponents \[.*\]$",
+                    str(err.value),
+                ), str(err.value)
+                caught.append(str(err.value))
+        assert len(caught) == 20
+        assert (
+            "record C1, p=2: (2,7,8,7,1,0) has elementary divisor orders [0, 0, 1], "
+            "splitting exponents [1, 1, 1]"
+        ) in caught
 
     def test_specs_stay_in_known_semigroups(self, catalog):
         for rec in catalog.records:

@@ -476,7 +476,7 @@ class TestSplittingForms:
         s = LocalSplitting(2, (("H", 0), ("diag", 1, 1)))
         form = s.to_form()
         assert form == TernaryForm(0, 0, 2, 0, 0, 2)  # 2xy + 2z^2
-        assert s.gram_det() == -2
+        assert form.gram_det() == -16  # 8 * det of the splitting's Gram matrix
         # indefinite, but the 2-adic decision is still exact: the values
         # are 2*(xy + z^2), i.e. exactly the even part of Z_2
         for n in range(1, 40):
@@ -486,7 +486,7 @@ class TestSplittingForms:
         s = LocalSplitting(2, (("A", 0), ("diag", 1, 0)))
         form = s.to_form()
         assert form == TernaryForm(2, 2, 1, 0, 0, 2)
-        assert s.gram_det() == 3
+        assert form.gram_det() == 24
         # 2(x^2+xy+y^2) + z^2 misses exactly 4^a(5+8l): the plane's values
         # are the 4^k-units plus zero, so odd targets need n - z^2 = 2*unit
         # or n a square, which kills only 5 mod 8, and 4 | n recurses
