@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from pathlib import Path
 from .arith import is_padic_square, normgroup_is_closed
 from .forms_core import TernaryForm, is_positive_definite
 from .local_solver import elementary_orders
+from .spinor_theory import in_Mt
 
 __all__ = [
     "CatalogError",
@@ -373,8 +375,17 @@ def _validate(catalog: CatalogFile) -> None:
         for s, t in rec.exceptional_spec:
             if t not in (1, 2, 3, 7):
                 raise CatalogError(f"record {rec.rid}: squareclass with t={t}")
-            if s < 1 or any(s % q == 0 for q in _PRIMES[2:] if q != t):
+            # route 2 builds s * w^2 in int64
+            if not 1 <= s < 1 << 63 or any(s % q == 0 for q in _PRIMES[2:] if q != t):
                 raise CatalogError(f"record {rec.rid}: suspicious scale s={s}")
+        # s2*M_t^2 lies inside s*M_t^2 when s2 = s*w^2 with w in M_t; w is
+        # below 2^32, so factoring it is quick
+        for (s, t), (s2, t2) in itertools.permutations(rec.exceptional_spec, 2):
+            w = math.isqrt(s2 // s)
+            if t2 == t and w * w * s == s2 and in_Mt(t, w):
+                raise CatalogError(
+                    f"record {rec.rid}: squareclass {_exc_token(s2, t)} lies inside {_exc_token(s, t)}"
+                )
 
 
 # ---------------------------------------------------------- serialization

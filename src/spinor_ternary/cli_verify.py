@@ -48,12 +48,14 @@ _LOW = np.array([str(v) for v in range(1000)] + [f"{v:03d}" for v in range(1000)
 # bounds on B11 (Python 3.11, numpy 2.4).  verify 9 (8e5 -> 3.2e6 on A12 and
 # C4, whose peak is the sumset's mask and 8 class rows; 8 on B4, B11 and
 # A1, whose peak is the route masks and, on B4 and B11, the closed form's
-# strided classes), report 18
-# (key, masks and a one-byte detail code per n, 15 on A1; 1e5 -> 3e5),
-# classify 10 (key and member mask; 1e6 -> 4e6), exceptional-list 2 (1e6 ->
-# 4e6); the cap adds about a fifth.  Each is at least the scan's own per-n
-# arrays (at most 1 + 8 for verify's sumset, 8 for the keyed scan's key), so
-# with forms_core.BLOCK_BYTES it bounds the scan too.
+# strided classes), report 16 (key, masks and a one-byte detail code per n,
+# also on B12, 14 on A1 and C4, 12 on A12; 1e5 -> 3e5), classify 10 (key,
+# the sumset's mask and the scan's closing member check, where the slab is
+# one chunk: B11 and B12, 2e5 -> 8e5; 8 past it, 1e6 -> 4e6),
+# exceptional-list 2 (1e6 -> 4e6); the cap adds about a fifth.  Each is at
+# least the scan's own per-n arrays (at most 1 + 8 for verify's sumset,
+# 8 + 1 + 1 for the keyed scan's key, its sumset mask and the member
+# check), so with forms_core.BLOCK_BYTES it bounds the scan too.
 _BYTES_PER_N = {"verify": 11, "report": 22, "classify": 12, "exceptional-list": 4}
 
 __all__ = [

@@ -23,6 +23,12 @@ keeps F), and z <= 0 when d = e = 0 ((x, y, -z) keeps F), as the mirror
 of any other is smaller.  represented_mask marks the n that occur, all
 that `verify` reads, as a sumset of shifted binary-form values (its
 docstring), with no scan of the three-dimensional box.
+
+Where the slab is one chunk cut into several blocks, the keyed scan
+takes the sumset first, as its proof that an n without a key is not
+represented, and stops after the first block that leaves no member of it
+without a key; its members must then equal the sumset's, so each such
+call checks the two engines against each other (enumerate_represented).
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ _BLOCK_POINTS = 1 << 16
 BLOCK_BYTES = 41 * _BLOCK_POINTS
 # key of an n that no vector gives
 _NO_KEY = np.iinfo(np.int64).max
+# n whose keys the keyed scan's stop test reads at a time
+_SEEK = 1 << 12
 # Classes of w mod 2a that one pass of represented_mask holds
 _CLASS_ROWS = 8
 # (a, b, c, d, e, f) with x, y or z first, then the other two variables:
@@ -244,6 +252,17 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     mirrors (module docstring), and every n keeps the least scan position
     that gives it.  The work follows the box, not the ellipsoid, so a skewed
     (non-reduced) form can make the scan crawl; the catalog refuses one.
+
+    When the (y, z) slab is one chunk and the box more than one block, each
+    block is whole x slices, so the blocks run in ascending position.  The
+    scan then takes represented_mask(form, bound) before its key array and
+    stops after the first block that leaves none of the mask's members
+    without a key.  Every later block holds only larger positions, so no
+    key changes, and an n without a key is outside the mask, so it has no
+    vector at all.  Afterwards the keyed n must be exactly the mask's
+    members, or RuntimeError names the form and the bound.  A slab of
+    several chunks is scanned chunk by chunk, each over every x, so its
+    keys are final only at the end, and it takes no mask.
     """
     x1, x2, x3, worst = _scan_box(form, bound)
     a, b, c, d, e, f = form.coeffs()
@@ -255,6 +274,13 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     # a block is one chunk of one x slice, or whole x slices when the slab
     # is one chunk, so each block's positions are contiguous
     step = max(1, _BLOCK_POINTS // (ny * nz))
+    # a slab of one chunk, cut into more than one block: the blocks run in
+    # ascending key, and the sumset tells when no member is left unkeyed
+    stop = ny * nz <= _BLOCK_POINTS and x1 >= step
+    if stop:
+        mask = represented_mask(form, bound)
+        # every member below lo has a key
+        lo = 1
     key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
     for ys, zs, g in _chunks(b, c, d, (x2, x3, ny, nz), dtype):
         for x0 in range(0, x1 + 1, step):
@@ -268,11 +294,26 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
             # F >= 0 on the box, and F = 0 only at the origin (key[0] reset below)
             pos = np.flatnonzero(flat <= bound)
             np.minimum.at(key, flat[pos], (x0 * ny + int(ys[0]) + x2) * nz + pos)
+            if stop:
+                # lo moves on to the next member without a key, _SEEK n at
+                # a time; keys are never unset, so lo never moves back, and
+                # the scan reads each key here once besides one window per block
+                while lo <= bound and not (
+                    hole := mask[lo:lo + _SEEK] & (key[lo:lo + _SEEK] == _NO_KEY)
+                ).any():
+                    lo += _SEEK
+                if lo > bound:
+                    # every later block holds only larger positions, so no
+                    # key would change
+                    break
+                lo += int(hole.argmax())
         # the last block's arrays and the chunk's g, freed before _chunks
         # builds the next chunk; freed after every block instead, each block
         # faults in fresh pages (A1 at 2e4: ten times the faults, twice the time)
         del vals, flat, pos, g
     key[0] = _NO_KEY
+    if stop and not np.array_equal(key != _NO_KEY, mask):
+        raise RuntimeError(f"the keyed scan and the sumset of {form} to {bound} give different members")
     return RepresentedSet(bound, key, (x2, x3, ny, nz))
 
 

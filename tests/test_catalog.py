@@ -305,6 +305,12 @@ class TestRejectedText:
              "record B1: local data for [2], ramified primes are [2, 3]"),
             ("exceptional M1\n", "exceptional M5\n", "record A1: squareclass with t=5"),
             ("exceptional M1\n", "exceptional 5M1\n", "record A1: suspicious scale s=5"),
+            # a spec entry inside another: 3 is in M_2 and 2 in M_7
+            ("exceptional M2\n", "exceptional M2 9M2\n", "record A8: squareclass 9M2 lies inside M2"),
+            ("exceptional 4M7\n", "exceptional 4M7 16M7\n", "record C4: squareclass 16M7 lies inside 4M7"),
+            ("exceptional M3\n", "exceptional M3 M3\n", "record B1: squareclass M3 lies inside M3"),
+            # route 2 builds s * w^2 in int64
+            ("exceptional M1\n", f"exceptional {2**63}M1\n", f"record A1: suspicious scale s={2**63}"),
             # a line or local-line key given twice
             ("delta 324\n", "delta 324\ndelta 324\n", "record B3: duplicate delta line"),
             ("exceptional 3M3\n", "exceptional 3M3\nexceptional M3\n",

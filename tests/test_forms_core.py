@@ -6,11 +6,14 @@ coordinate box comes from a floating-point eigenvalue bound, so the two
 routes share no search logic, and against a one-slice-per-pass int64 scan
 of the full box, the reference for the blocked int32 scan and its sign
 rules: both must give the same members and the same least witnesses.
-The membership-only sumset must give the keyed scan's members.
+The membership-only sumset must give that slice scan's members too: the
+keyed scan reads the sumset to know where it may stop, so neither of the
+two engines is the other's reference.
 """
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinor_ternary import forms_core
+from spinor_ternary.cli_verify import main
 from spinor_ternary.forms_core import (
     BLOCK_BYTES,
     BoundOverflowError,
@@ -319,10 +323,12 @@ class TestEnumeration:
 
 
 def assert_mask_matches_keyed_scan(form: TernaryForm, bound: int):
+    """represented_mask against the slice scan's members, not against
+    enumerate_represented, which reads the sumset."""
     mask = represented_mask(form, bound)
     assert mask.dtype == bool and mask.shape == (bound + 1,)
     assert not mask.flags.writeable  # callers share it without copying
-    assert np.array_equal(mask, enumerate_represented(form, bound).member_mask()), (form, bound)
+    assert np.array_equal(mask, slice_scan_least(form, bound)[0]), (form, bound)
 
 
 def isolation(form: TernaryForm, bound: int):
@@ -344,7 +350,7 @@ def isolated_variable(form: TernaryForm, bound: int) -> tuple[str, int]:
 
 class TestRepresentedMask:
     """represented_mask is a sumset of shifted binary-form values: the
-    keyed scan's members, whichever variable it isolates and however many
+    slice scan's members, whichever variable it isolates and however many
     classes of w mod 2a it holds at a time."""
 
     @pytest.mark.parametrize("bound", SCAN_BOUNDS)
@@ -426,9 +432,8 @@ class TestRepresentedMask:
 class TestBlocks:
     """Chunks of y rows, a partial last chunk and whole-slab blocks of
     several x slices: the keys and members do not depend on them.  Both
-    engines walk the one cut of _chunks, so the sumset agreeing with the
-    keyed scan cannot see a fault in it; the slice scan, which cuts
-    nothing, does."""
+    engines walk the one cut of _chunks, so each is held to the slice
+    scan, which cuts nothing."""
 
     @pytest.mark.parametrize("points, bound", ((1, 48), (7, 121), (64, 1000), (4096, 1000)))
     def test_every_chunk_shape_matches_slice_scan(self, catalog, monkeypatch, points, bound):
@@ -439,6 +444,77 @@ class TestBlocks:
             for form in rec.all_forms():
                 assert_matches_slice_scan(form, bound)
                 assert_mask_matches_keyed_scan(form, bound)
+
+
+A1 = TernaryForm(2, 2, 5, 2, 2, 0)
+
+
+def edit_sumset(monkeypatch, ns, value):
+    """Make the keyed scan read represented_mask with mask[ns] = value."""
+
+    def edited(form, bound):
+        mask = represented_mask(form, bound).copy()
+        mask[ns] = value
+        return mask
+
+    monkeypatch.setattr(forms_core, "represented_mask", edited)
+
+
+class TestSumsetStop:
+    """On a slab of one chunk cut into several blocks, the keyed scan's
+    blocks run in ascending key: it stops after the first block that leaves
+    no member of the sumset without a key, and its members must then be
+    the sumset's.  A1 at 20000 has a 213 x 141 slab, two x slices a block
+    and 54 blocks; the last least witness has x = 32, in block 17."""
+
+    BOUND = 20000
+
+    def least_x(self):
+        """A1's members to BOUND, the x of each least witness, and the x
+        slices per block of the keyed scan."""
+        member, (x, _, _) = slice_scan_least(A1, self.BOUND)
+        ny, nz = enumerate_represented(A1, self.BOUND)._box[2:]
+        step = forms_core._BLOCK_POINTS // (ny * nz)
+        assert (step, x.max()) == (2, 32)
+        return np.flatnonzero(member), x, step
+
+    def test_keys_match_slice_scan(self, monkeypatch):
+        bounds = []
+
+        def counted(form, bound):
+            bounds.append(bound)
+            return represented_mask(form, bound)
+
+        monkeypatch.setattr(forms_core, "represented_mask", counted)
+        assert_matches_slice_scan(A1, self.BOUND)
+        assert bounds == [self.BOUND]
+
+    def test_reads_no_block_past_the_last_a_member_needs(self, monkeypatch):
+        # drop from the sumset every member whose least witness lies in
+        # block 17: the scan then stops after block 16, so none of them gets
+        # a key, and the two engines agree without them
+        ns, x, step = self.least_x()
+        last = ns[x // step == x.max() // step]
+        edit_sumset(monkeypatch, last, False)
+        member = enumerate_represented(A1, self.BOUND).member_mask()
+        assert not member[last].any()
+        assert member.sum() == ns.size - last.size
+
+    @pytest.mark.parametrize("edit", ("add a non-member", "drop a member keyed in block 1"))
+    def test_disagreement_raises_and_exits_2(self, monkeypatch, capsys, edit):
+        ns, x, step = self.least_x()
+        if edit == "add a non-member":
+            n = int(np.setdiff1d(np.arange(1, self.BOUND + 1), ns)[0])
+        else:
+            n = int(ns[0])
+            assert x[0] < step
+        edit_sumset(monkeypatch, n, edit == "add a non-member")
+        message = f"the keyed scan and the sumset of {A1} to {self.BOUND} give different members"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            enumerate_represented(A1, self.BOUND)
+        assert main(["report", "A1", "--bound", str(self.BOUND)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: RuntimeError: {message}\n")
 
 
 class TestScanBytes:
