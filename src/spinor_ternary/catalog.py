@@ -1,7 +1,8 @@
 """Catalog of the 29 genera split into two spinor genera, with per-prime
-local data (Jordan splitting, spinor norm group, order cutoffs) and the
-closed-form exceptional squareclasses.  `LocalData.cutoff` gives the spinor
-criterion's order cutoff: lambda at 2, the splitting's exponents at odd p.
+local data (spinor norm group, order cutoffs, the Jordan splitting at odd
+primes) and the closed-form exceptional squareclasses.  `LocalData.cutoff`
+gives the spinor criterion's order cutoff: lambda at 2, the splitting's
+exponents at odd p.
 
 The on-disk format is line-oriented text: a `version 1` header, then
 blank-line-separated records of `id`/`delta`/`sgi`/`sgii`/`local`/
@@ -50,61 +51,38 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class LocalSplitting:
-    """Jordan splitting data for L_p: diagonal components (unit, exponent)
-    and, at p = 2, the named binary planes H and A with a scale exponent."""
+    """Jordan splitting of L_p at an odd prime p: the diagonal components
+    <unit * p^exponent>, as (unit, exponent) pairs."""
 
     p: int
-    components: tuple[tuple, ...]  # ("diag", unit, exp) | ("H", exp) | ("A", exp)
-
-    def dimension(self) -> int:
-        return sum(1 if c[0] == "diag" else 2 for c in self.components)
+    components: tuple[tuple[int, int], ...]
 
     def exponents(self) -> list[int]:
-        return [c[-1] for c in self.components]
+        return [k for _, k in self.components]
 
     def to_form(self) -> TernaryForm:
-        """A ternary form whose doubled Gram matrix is twice the splitting's
-        Gram matrix, so the form takes exactly the splitting's values."""
-        if self.dimension() != 3:
+        """The diagonal ternary form whose values are exactly the
+        splitting's."""
+        if len(self.components) != 3:
             raise ValueError(f"splitting is not ternary: {self.components}")
-        gram = [[0] * 3 for _ in range(3)]
-        i = 0
-        for c in self.components:
-            if c[0] == "diag":
-                gram[i][i] = c[1] * self.p ** c[2]
-                i += 1
-            else:
-                s = 2**c[1]
-                if c[0] == "H":
-                    gram[i][i + 1] = gram[i + 1][i] = s
-                else:
-                    gram[i][i] = gram[i + 1][i + 1] = 2 * s
-                    gram[i][i + 1] = gram[i + 1][i] = s
-                i += 2
-        return TernaryForm(
-            a=gram[0][0],
-            b=gram[1][1],
-            c=gram[2][2],
-            d=2 * gram[1][2],
-            e=2 * gram[0][2],
-            f=2 * gram[0][1],
-        )
+        a, b, c = (u * self.p**k for u, k in self.components)
+        return TernaryForm(a, b, c, 0, 0, 0)
 
 
 @dataclass(frozen=True)
 class LocalData:
-    """What the catalog knows about one ramified prime of a record, the
-    prime being `splitting.p`.  At p = 2 the splitting of a form with an odd
-    cross coefficient (d, e or f) describes the lattice rescaled by 2."""
+    """What the catalog knows about one ramified prime of a record: theta,
+    and the order cutoff's source, which is lambda at 2 and the Jordan
+    splitting at an odd prime.  `splitting` is None on the p = 2 line."""
 
-    splitting: LocalSplitting
+    splitting: LocalSplitting | None
     theta: tuple[int, ...]
     lam: int | None = None          # order cutoff at 2; groups A and B only
 
     @property
     def cutoff(self) -> int | None:
         """The spinor criterion's order cutoff, or None if none is tabulated."""
-        if self.splitting.p == 2:
+        if self.splitting is None:
             return self.lam
         return _ODD_CUTOFFS.get(tuple(self.splitting.exponents()))
 
@@ -163,18 +141,18 @@ def _parse_splitting(p: int, text: str, where: str) -> LocalSplitting:
     comps = []
     for tok in text.split(","):
         # a token without ":" leaves exp empty, which int() rejects too
-        head, _, exp = tok.partition(":")
+        unit, _, exp = tok.partition(":")
         try:
-            comps.append((head, int(exp)) if head in ("H", "A") else ("diag", int(head), int(exp)))
+            comps.append((int(unit), int(exp)))
         except ValueError:
             raise CatalogError(f"{where}: bad splitting token {tok!r}") from None
         # a negative exponent makes the Gram determinant a fraction
-        if comps[-1][-1] < 0:
+        if comps[-1][1] < 0:
             raise CatalogError(f"{where}: bad splitting token {tok!r}")
     return LocalSplitting(p, tuple(comps))
 
 
-def _parse_local(rest: str, where: str) -> LocalData:
+def _parse_local(rest: str, where: str) -> tuple[int, LocalData]:
     toks = rest.split()
     if not toks:
         raise CatalogError(f"{where}: empty local line")
@@ -202,9 +180,10 @@ def _parse_local(rest: str, where: str) -> LocalData:
             lam = _parse_int(val, "lambda", where)
         else:
             raise CatalogError(f"{where}: unknown token {tok!r}")
-    if splitting is None or theta is None:
-        raise CatalogError(f"{where}: local line needs splitting= and theta=")
-    return LocalData(splitting, theta, lam)
+    if theta is None or splitting is None and p != 2:
+        wants = "theta=" if p == 2 else "splitting= and theta="
+        raise CatalogError(f"{where}: local line needs {wants}")
+    return p, LocalData(splitting, theta, lam)
 
 
 def _parse_exceptional(rest: str, where: str) -> tuple[tuple[int, int], ...]:
@@ -242,9 +221,9 @@ def _build_record(lines: list[tuple[int, str]]) -> GenusRecord:
         elif key == "sgii":
             sgii.append(_parse_form(rest, where))
         elif key == "local":
-            data = _parse_local(rest, where)
-            if local.setdefault(data.splitting.p, data) is not data:
-                raise CatalogError(f"{where}: duplicate local line for p={data.splitting.p}")
+            p, data = _parse_local(rest, where)
+            if local.setdefault(p, data) is not data:
+                raise CatalogError(f"{where}: duplicate local line for p={p}")
         elif key == "exceptional":
             exceptional = _parse_exceptional(rest, where)
         else:
@@ -284,31 +263,31 @@ def loads(text: str) -> CatalogFile:
 
 # ------------------------------------------------------------- validation
 
-def _validate_local(rec: GenusRecord, data: LocalData) -> None:
-    s = data.splitting
-    p = s.p
+def _validate_local(rec: GenusRecord, p: int, data: LocalData) -> None:
     where = f"record {rec.rid}, p={p}"
-    if s.dimension() != 3:
-        raise CatalogError(f"{where}: splitting dimension {s.dimension()} != 3")
-    exps = s.exponents()
-    if list(exps) != sorted(exps):
-        raise CatalogError(f"{where}: splitting exponents not nondecreasing")
-    for comp in s.components:
-        if comp[0] == "diag":
-            if comp[1] % p == 0:
-                raise CatalogError(f"{where}: non-unit diagonal {comp[1]}")
-        elif p != 2:
-            raise CatalogError(f"{where}: {comp[0]}-plane only makes sense at p=2")
-    # the splitting's form is compared with every form of the record over
-    # Z_p; an odd cross coefficient: the 2-adic splitting is of the lattice
-    # scaled by 2, so it is compared with the doubled forms
-    split = s.to_form()
-    forms = rec.all_forms()
-    if p == 2 and any(x % 2 for x in forms[0].coeffs()[3:]):
-        forms = tuple(TernaryForm(*(2 * x for x in form.coeffs())) for form in forms)
-    # every form has determinant 2*delta (checked before this)
-    if not is_padic_square(p, split.gram_det() * forms[0].gram_det()):
-        raise CatalogError(f"{where}: splitting determinant in the wrong squareclass")
+    s = data.splitting
+    if p == 2:
+        if s is not None:
+            raise CatalogError(f"{where}: splitting only belongs on an odd-p line")
+        # the forms of one genus are Z_2-isometric, so they share M_F's
+        # elementary divisors; the first form stands for the genus
+        want = elementary_orders(rec.sgi_forms[0], 2)
+        other = f"{rec.sgi_forms[0]} has"
+    else:
+        if len(s.components) != 3:
+            raise CatalogError(f"{where}: splitting dimension {len(s.components)} != 3")
+        want = s.exponents()
+        if want != sorted(want):
+            raise CatalogError(f"{where}: splitting exponents not nondecreasing")
+        for unit, _ in s.components:
+            if unit % p == 0:
+                raise CatalogError(f"{where}: non-unit diagonal {unit}")
+        # every form has determinant 2*delta (checked before this)
+        if not is_padic_square(p, s.to_form().gram_det() * rec.sgi_forms[0].gram_det()):
+            raise CatalogError(f"{where}: splitting determinant in the wrong squareclass")
+        # M_F is twice the Gram matrix and 2 is a unit at odd p, so M_F's
+        # elementary divisor orders are the splitting's exponents
+        other = "splitting exponents"
     if 1 not in data.theta or not normgroup_is_closed(p, data.theta):
         raise CatalogError(f"{where}: theta not a group modulo squares")
     if p == 2:
@@ -321,18 +300,11 @@ def _validate_local(rec: GenusRecord, data: LocalData) -> None:
         if data.lam is not None:
             raise CatalogError(f"{where}: lambda only belongs on the p=2 line")
         if data.cutoff is None:
-            raise CatalogError(f"{where}: splitting shape {exps} has no order bound")
-    # both lists are printed at the splitting's scale: M_F is twice the
-    # Gram matrix, and 2 is a unit at odd p
-    want = elementary_orders(split, p)
-    shift = 1 if p == 2 else 0
-    for form, shown in zip(forms, rec.all_forms()):
+            raise CatalogError(f"{where}: splitting shape {want} has no order bound")
+    for form in rec.all_forms():
         orders = elementary_orders(form, p)
         if orders != want:
-            raise CatalogError(
-                f"{where}: {shown} has elementary divisor orders "
-                f"{[e - shift for e in orders]}, splitting exponents {[e - shift for e in want]}"
-            )
+            raise CatalogError(f"{where}: {form} has elementary divisor orders {orders}, {other} {want}")
 
 
 def _validate(catalog: CatalogFile) -> None:
@@ -370,8 +342,8 @@ def _validate(catalog: CatalogFile) -> None:
                 f"record {rec.rid}: local data for {sorted(rec.local_data)}, "
                 f"ramified primes are {sorted(ram)}"
             )
-        for data in rec.local_data.values():
-            _validate_local(rec, data)
+        for p, data in rec.local_data.items():
+            _validate_local(rec, p, data)
         for s, t in rec.exceptional_spec:
             if t not in (1, 2, 3, 7):
                 raise CatalogError(f"record {rec.rid}: squareclass with t={t}")
@@ -390,16 +362,6 @@ def _validate(catalog: CatalogFile) -> None:
 
 # ---------------------------------------------------------- serialization
 
-def _splitting_str(s: LocalSplitting) -> str:
-    toks = []
-    for comp in s.components:
-        if comp[0] == "diag":
-            toks.append(f"{comp[1]}:{comp[2]}")
-        else:
-            toks.append(f"{comp[0]}:{comp[1]}")
-    return ",".join(toks)
-
-
 def _exc_token(s: int, t: int) -> str:
     return f"M{t}" if s == 1 else f"{s}M{t}"
 
@@ -416,7 +378,9 @@ def dumps(catalog: CatalogFile) -> str:
             out.append("sgii " + ",".join(str(c) for c in form.coeffs()))
         for p in rec.ramified_primes():
             data = rec.local_data[p]
-            line = f"local {p} splitting={_splitting_str(data.splitting)}"
+            line = f"local {p}"
+            if data.splitting is not None:
+                line += " splitting=" + ",".join(f"{u}:{k}" for u, k in data.splitting.components)
             line += " theta={" + ",".join(str(g) for g in data.theta) + "}"
             if data.lam is not None:
                 line += f" lambda={data.lam}"

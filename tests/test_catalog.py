@@ -4,6 +4,7 @@ stored local data with the generic Z_p solver."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 from spinor_ternary.arith import ord_p
@@ -15,7 +16,7 @@ from spinor_ternary.catalog import (
     loads,
 )
 from spinor_ternary.forms_core import TernaryForm
-from spinor_ternary.local_solver import locally_represented
+from spinor_ternary.local_solver import local_mask, locally_represented
 
 # (2^61 - 1)(2^89 - 1), both Mersenne primes
 _SEMIPRIME = (2**61 - 1) * (2**89 - 1)
@@ -35,45 +36,29 @@ def odd_cross(form: TernaryForm) -> bool:
 
 def exponent_mismatches(catalog) -> list[tuple[str, int, TernaryForm, list[int]]]:
     """Every (record, p, form, orders) where the p-orders of the elementary
-    divisors of M_F differ from the local line's splitting exponents, a
-    plane counted twice.  The orders come from the gcd of M_F's entries, the
-    gcd of its 2x2 minors (the adjugate's entries) and det(M_F).  M_F is
-    twice the Gram matrix: at odd p the 2 is a unit, and at p = 2 each order
-    is one more than the splitting's, unless an odd cross coefficient makes
-    the splitting that of the lattice rescaled by 2, whose Gram matrix is M_F."""
+    divisors of M_F differ from what the record says of them.  The orders
+    come from the gcd of M_F's entries, the gcd of its 2x2 minors (the
+    adjugate's entries) and det(M_F).  At odd p, M_F is twice the Gram
+    matrix and 2 is a unit, so they must be the splitting's exponents; the
+    `local 2` line has no splitting, and the forms of one genus are
+    Z_2-isometric, so at p = 2 they must be the first form's orders."""
+
+    def orders(form, p):
+        g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
+        g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
+        return [g1, g2 - g1, ord_p(p, form.gram_det()) - g2]
+
     out = []
     for rec in catalog.records:
         for p, data in rec.local_data.items():
-            exps = [
-                c[-1] for c in data.splitting.components for _ in range(1 if c[0] == "diag" else 2)
-            ]
+            if p == 2:
+                want = orders(rec.sgi_forms[0], 2)
+            else:
+                want = [k for _, k in data.splitting.components]
             for form in rec.all_forms():
-                shift = 1 if p == 2 and not odd_cross(form) else 0
-                g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
-                g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
-                orders = [g1 - shift, g2 - g1 - shift, ord_p(p, form.gram_det()) - g2 - shift]
-                if orders != exps:
-                    out.append((rec.rid, p, form, orders))
+                if orders(form, p) != want:
+                    out.append((rec.rid, p, form, orders(form, p)))
     return out
-
-
-def two_adic_exponent_edits(catalog):
-    """Every one-step edit of one exponent on a `local 2` line, as (record
-    id, whether the token is a plane, the edited exponents with a plane
-    counted once, the edited catalog text)."""
-    blocks = dumps(catalog).split("\n\n")
-    for i, block in enumerate(blocks[1:], start=1):
-        rid = block.split("\n", 1)[0].removeprefix("id ")
-        m = re.search(r"^local 2 splitting=(\S+)", block, re.M)
-        toks = m.group(1).split(",")
-        for k, tok in enumerate(toks):
-            head, exp = tok.split(":")
-            for step in (-1, 1):
-                new = toks[:k] + [f"{head}:{int(exp) + step}"] + toks[k + 1 :]
-                edited = block[: m.start(1)] + ",".join(new) + block[m.end(1) :]
-                exps = [int(t.split(":")[1]) for t in new]
-                text = "\n\n".join(blocks[:i] + [edited] + blocks[i + 1 :])
-                yield rid, head in ("H", "A"), exps, text
 
 
 class TestShape:
@@ -91,6 +76,7 @@ class TestShape:
         assert rec.sgii_forms == (TernaryForm(1, 1, 16, 0, 0, 0),)
         assert rec.ramified_primes() == (2,)
         data = rec.local_data[2]
+        assert data.splitting is None
         assert data.lam == 1
         assert data.theta == (1, 2, 5, 10)
 
@@ -107,7 +93,8 @@ class TestShape:
         assert catalog.lookup("C4").exceptional_spec == ((4, 7),)
 
     def test_scaled_flags(self, catalog):
-        # the records whose 2-adic splitting describes the lattice rescaled by 2
+        # the records whose forms have an odd cross coefficient, so a
+        # half-integral Gram matrix
         scaled = {rec.rid for rec in catalog.records if odd_cross(rec.sgi_forms[0])}
         assert scaled == {"B1", "B2", "B3", "B4", "C1", "C2"}
 
@@ -170,12 +157,12 @@ class TestParsing:
 
     def test_bad_splitting_token(self, catalog):
         with pytest.raises(CatalogError, match="splitting token"):
-            loads(doctored(catalog, "splitting=1:0,1:0,1:4", "splitting=1:0,x,1:4"))
+            loads(doctored(catalog, "splitting=1:0,1:1,1:2", "splitting=1:0,x,1:2"))
 
     @pytest.mark.parametrize("token", ("H:", "A:x", "q:1", "1:", "1:0:0"))
     def test_bad_splitting_token_parts(self, catalog, token):
         with pytest.raises(CatalogError, match=f"bad splitting token '{token}'"):
-            loads(doctored(catalog, "splitting=1:0,1:0,1:4", f"splitting=1:0,{token},1:4"))
+            loads(doctored(catalog, "splitting=1:0,1:1,1:2", f"splitting=1:0,{token},1:2"))
 
     def test_bad_squareclass_token(self, catalog):
         with pytest.raises(CatalogError, match="squareclass token"):
@@ -224,7 +211,7 @@ class TestValidation:
 
     def test_non_unit_diagonal(self, catalog):
         with pytest.raises(CatalogError, match="non-unit"):
-            loads(doctored(catalog, "splitting=1:0,1:0,1:4", "splitting=2:0,1:0,1:4"))
+            loads(doctored(catalog, "splitting=1:0,1:1,1:2", "splitting=3:0,1:1,1:2"))
 
     def test_unknown_subcase(self, catalog):
         # subcase is no key of a local line, so any label is an unknown token
@@ -238,48 +225,50 @@ class TestRejectedText:
         [
             ("sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2,x",
              "record A1: invalid literal for int() with base 10: 'x'"),
-            ("local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1",
-             "local", "record A1: empty local line"),
+            ("local 2 theta={1,2,5,10} lambda=1", "local", "record A1: empty local line"),
             ("theta={1,2,5,10}", "theta=1,2,5,10",
              "record A1: theta wants {..}, got '1,2,5,10'"),
-            (" theta={1,2,5,10}", "", "record A1: local line needs splitting= and theta="),
+            (" theta={1,2,5,10}", "", "record A1: local line needs theta="),
+            ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 theta={1,3}",
+             "record B1: local line needs splitting= and theta="),
+            # the 2-adic splitting is read by no route and is no key of the
+            # p = 2 line
+            ("local 2 theta={1,2,5,10} lambda=1", "local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1",
+             "record A1, p=2: splitting only belongs on an odd-p line"),
             ("exceptional M1\n", "exceptional\n", "record A1: empty exceptional line"),
             ("id A1\ndelta 64", "delta 64\nid A1", "line 3: record must start with an id line"),
+            # a second line for a prime is refused before its tokens are
+            # checked, even one that would be refused on its own
             (" lambda=1\n", " lambda=1\nlocal 2 splitting=1:0 theta={1}\n",
              "record A1: duplicate local line for p=2"),
             ("delta 64\n", "delta 64\ngamma 1\n", "line 5: unknown key 'gamma'"),
             ("delta 64\n", "", "record A1: missing delta or exceptional line"),
             (None, "# only comments\n", "missing version header"),
-            ("splitting=1:0,1:0,1:4", "splitting=1:0,1:4",
-             "record A1, p=2: splitting dimension 2 != 3"),
-            ("splitting=1:0,1:0,1:4", "splitting=1:0,1:4,1:0",
-             "record A1, p=2: splitting exponents not nondecreasing"),
+            ("splitting=1:0,1:1,1:2", "splitting=1:0,1:1",
+             "record B1, p=3: splitting dimension 2 != 3"),
+            ("splitting=1:0,1:1,1:2", "splitting=1:0,1:2,1:1",
+             "record B1, p=3: splitting exponents not nondecreasing"),
+            # a splitting token is u:k with two integers; H and A are none
             ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=H:0,1:2",
-             "record B1, p=3: H-plane only makes sense at p=2"),
-            # a bare token, on an odd or a 2-adic line: the 2-adic scale is
-            # read off the form
+             "record B1: bad splitting token 'H:0'"),
+            # a bare token, on an odd or a 2-adic line: no route reads one
             ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} scaled",
              "record B1: unknown token 'scaled'"),
             (" lambda=1\n", " lambda=1 scaled\n", "record A1: unknown token 'scaled'"),
             # the 2-adic structure label no route read
             (" lambda=1\n", " lambda=1 subcase=(b)(iii)\n",
              "record A1: unknown token 'subcase=(b)(iii)'"),
-            # the determinant enforces the scale: a splitting's determinant
-            # is in the squareclass of delta for A1's even form, and of
-            # 2 * delta for B1's odd one
-            ("splitting=1:0,1:0,1:4", "splitting=1:0,1:0,1:5",
-             "record A1, p=2: splitting determinant in the wrong squareclass"),
-            ("splitting=A:0,1:3", "splitting=A:0,1:2",
-             "record B1, p=2: splitting determinant in the wrong squareclass"),
-            ("splitting=1:0,1:0,1:4", "splitting=1:0,3:0,1:4",
-             "record A1, p=2: splitting determinant in the wrong squareclass"),
+            # a splitting's determinant is in the squareclass of the forms':
+            # one more 3, or a unit that is no square mod 3, moves it
+            ("splitting=1:0,1:1,1:2", "splitting=1:0,1:1,1:3",
+             "record B1, p=3: splitting determinant in the wrong squareclass"),
+            ("splitting=1:0,1:1,1:2", "splitting=1:0,2:1,1:2",
+             "record B1, p=3: splitting determinant in the wrong squareclass"),
             (" lambda=1\n", " lambda=0\n", "record A1, p=2: lambda must be >= 1"),
-            # a negative exponent would make the Gram determinant a fraction:
-            # at an odd p legendre got a float, at p = 2 the record loaded
+            # a negative exponent would make the Gram determinant a fraction,
+            # and legendre got a float
             ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:-1,1:1,1:2",
              "record B1: bad splitting token '1:-1'"),
-            ("splitting=A:0,1:3", "splitting=A:-1,1:3", "record B1: bad splitting token 'A:-1'"),
-            ("splitting=H:0,5:3", "splitting=H:-1,5:3", "record B2: bad splitting token 'H:-1'"),
             # 0 is no squareclass
             ("theta={1,2,5,10}", "theta={1,0,5,10}", "record A1: bad theta '0'"),
             ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} lambda=1",
@@ -288,6 +277,10 @@ class TestRejectedText:
              "record B1, p=3: splitting shape [0, 0, 3] has no order bound"),
             ("id B7", "id A14", "group counts off: {'A': 14, 'B': 11, 'C': 4}"),
             ("sgii 1,1,16,0,0,0\n", "", "record A1: both spinor genera need forms"),
+            # same determinant, reduced, but outside A1's genus at 2
+            ("sgii 1,1,16,0,0,0", "sgii 1,2,8,0,0,0",
+             "record A1, p=2: (1,2,8,0,0,0) has elementary divisor orders [1, 2, 4], "
+             "(2,2,5,2,2,0) has [1, 1, 5]"),
             ("sgi 2,2,5,2,2,0", "sgi -2,2,5,2,2,0",
              f"record A1: {TernaryForm(-2, 2, 5, 2, 2, 0)} not positive definite"),
             # A1's first form under x -> x + 40y: same determinant and
@@ -315,8 +308,8 @@ class TestRejectedText:
             ("delta 324\n", "delta 324\ndelta 324\n", "record B3: duplicate delta line"),
             ("exceptional 3M3\n", "exceptional 3M3\nexceptional M3\n",
              "record B3: duplicate exceptional line"),
-            ("splitting=1:0,1:0,1:4", "splitting=1:0,1:0,1:4 splitting=1:0,1:0,1:4",
-             "record A1: duplicate splitting on the p=2 local line"),
+            ("splitting=1:0,1:1,1:2", "splitting=1:0,1:1,1:2 splitting=1:0,1:1,1:2",
+             "record B1: duplicate splitting on the p=3 local line"),
             ("theta={1,2,5,10}", "theta={1,2,5,10} theta={1,5}",
              "record A1: duplicate theta on the p=2 local line"),
             (" lambda=1\n", " lambda=1 lambda=2\n", "record A1: duplicate lambda on the p=2 local line"),
@@ -330,19 +323,34 @@ class TestRejectedText:
 
 class TestLocalDataConsistency:
     def test_splitting_values_match_solver(self, catalog):
-        # the stored Jordan splitting must predict the same local
-        # representability as the actual form; at p = 2 the splitting of a
-        # form with an odd cross coefficient describes the lattice rescaled
-        # by 2, so its targets are doubled
+        # the stored Jordan splitting at an odd prime must predict the same
+        # local representability as the actual form
+        lines = 0
         for rec in catalog.records:
             form = rec.sgi_forms[0]
             for p, data in rec.local_data.items():
+                if p == 2:
+                    continue
+                lines += 1
                 split_form = data.splitting.to_form()
-                mult = 2 if p == 2 and odd_cross(form) else 1
                 for n in range(1, 501):
-                    assert locally_represented(form, p, n) == locally_represented(
-                        split_form, p, mult * n
-                    ), (rec.rid, p, n)
+                    assert locally_represented(form, p, n) == locally_represented(split_form, p, n), (
+                        rec.rid, p, n
+                    )
+        assert lines == 16
+
+    def test_genus_mates_agree_locally(self, catalog):
+        # the forms of one genus are Z_p-isometric, so every form takes the
+        # local values of the first; at p = 2 this stands in for a splitting,
+        # and it reads the class tables of the 52 forms after the first
+        checked = 0
+        for rec in catalog.records:
+            for p in rec.ramified_primes():
+                want = local_mask(rec.sgi_forms[0], p, 500)
+                for form in rec.all_forms()[1:]:
+                    assert np.array_equal(local_mask(form, p, 500), want), (rec.rid, p, form)
+                    checked += 1
+        assert checked == 79  # (form, ramified p) pairs
 
     def test_odd_exponents_match_elementary_divisors(self, catalog):
         # every load makes this check too (catalog._validate_local), at
@@ -369,29 +377,6 @@ class TestLocalDataConsistency:
             r"\[0, 1, 2\], splitting exponents \[0, 2, 3\]$",
         ):
             loads(doctored(catalog, old, new))
-
-    def test_two_adic_exponent_edits_caught(self, catalog):
-        # a plane's exponent moves the determinant by a square, so the 20
-        # plane edits that keep the exponents nonnegative and nondecreasing
-        # pass every other check; only the elementary divisors tell
-        edits = list(two_adic_exponent_edits(catalog))
-        assert len(edits) == 148
-        caught = []
-        for rid, plane, exps, text in edits:
-            with pytest.raises(CatalogError) as err:
-                loads(text)
-            if plane and exps == sorted(exps) and exps[0] >= 0:
-                assert re.match(
-                    rf"record {rid}, p=2: \(.*\) has elementary divisor orders \[.*\], "
-                    r"splitting exponents \[.*\]$",
-                    str(err.value),
-                ), str(err.value)
-                caught.append(str(err.value))
-        assert len(caught) == 20
-        assert (
-            "record C1, p=2: (2,7,8,7,1,0) has elementary divisor orders [0, 0, 1], "
-            "splitting exponents [1, 1, 1]"
-        ) in caught
 
     def test_specs_stay_in_known_semigroups(self, catalog):
         for rec in catalog.records:

@@ -473,19 +473,15 @@ class TestGenus:
 
 class TestSplittingForms:
     def test_hyperbolic_plane_form(self):
-        s = LocalSplitting(2, (("H", 0), ("diag", 1, 1)))
-        form = s.to_form()
-        assert form == TernaryForm(0, 0, 2, 0, 0, 2)  # 2xy + 2z^2
-        assert form.gram_det() == -16  # 8 * det of the splitting's Gram matrix
+        form = TernaryForm(0, 0, 2, 0, 0, 2)  # 2xy + 2z^2
+        assert form.gram_det() == -16
         # indefinite, but the 2-adic decision is still exact: the values
         # are 2*(xy + z^2), i.e. exactly the even part of Z_2
         for n in range(1, 40):
             assert locally_represented(form, 2, n) == (n % 2 == 0)
 
     def test_a_plane_form(self):
-        s = LocalSplitting(2, (("A", 0), ("diag", 1, 0)))
-        form = s.to_form()
-        assert form == TernaryForm(2, 2, 1, 0, 0, 2)
+        form = TernaryForm(2, 2, 1, 0, 0, 2)  # 2(x^2 + xy + y^2) + z^2
         assert form.gram_det() == 24
         # 2(x^2+xy+y^2) + z^2 misses exactly 4^a(5+8l): the plane's values
         # are the 4^k-units plus zero, so odd targets need n - z^2 = 2*unit
@@ -497,11 +493,11 @@ class TestSplittingForms:
             assert locally_represented(form, 2, n) == (m % 8 != 5), n
 
     def test_dimension_and_exponents(self):
-        s = LocalSplitting(2, (("A", 0), ("diag", 3, 3)))
-        assert s.dimension() == 3
-        assert s.exponents() == [0, 3]
+        s = LocalSplitting(3, ((1, 0), (2, 1), (1, 3)))
+        assert s.exponents() == [0, 1, 3]
+        assert s.to_form() == TernaryForm(1, 6, 27, 0, 0, 0)
         with pytest.raises(ValueError):
-            LocalSplitting(2, (("diag", 1, 0),)).to_form()
+            LocalSplitting(3, ((1, 0),)).to_form()
 
     def test_degenerate_form_rejected(self):
         with pytest.raises(ValueError):

@@ -105,7 +105,7 @@ class TestNormGroupClosure:
 class TestOddBound:
     @staticmethod
     def cutoff(exps):
-        split = LocalSplitting(3, tuple(("diag", 1, e) for e in exps))
+        split = LocalSplitting(3, tuple((1, e) for e in exps))
         return LocalData(split, (1, 3)).cutoff
 
     def test_exponent_shapes(self):
