@@ -48,7 +48,6 @@ from .spinor_theory import (
     REPRESENTED,
     Classification,
     classify,
-    congruence_Mt,
     in_Mt,
     spinor_exceptional_general,
 )

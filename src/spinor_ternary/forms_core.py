@@ -24,11 +24,11 @@ of any other is smaller.  represented_mask marks the n that occur, all
 that `verify` reads, as a sumset of shifted binary-form values (its
 docstring), with no scan of the three-dimensional box.
 
-Where the slab is one chunk cut into several blocks, the keyed scan
-takes the sumset first, as its proof that an n without a key is not
-represented, and stops after the first block that leaves no member of it
-without a key; its members must then equal the sumset's, so each such
-call checks the two engines against each other (enumerate_represented).
+Where the box is more than one block of x, the keyed scan takes the
+sumset first, as its proof that an n without a key is not represented,
+and stops after the first block that leaves no member of it without a
+key; its members must then equal the sumset's, so each such call checks
+the two engines against each other (enumerate_represented).
 """
 
 from __future__ import annotations
@@ -231,14 +231,15 @@ def _chunks(b: int, c: int, d: int, box, dtype):
     x2, x3, ny, nz = box
     zs = np.arange(-x3, nz - x3, dtype=np.int64)
     rows = min(ny, max(1, _BLOCK_POINTS // nz))
+    # each term of one variable in int64, as a coefficient may pass dtype
+    # where its coordinate is only 0 (d y z is then 0); every 2-D pass in dtype
+    dz = ((d if x2 and x3 else 0) * zs).astype(dtype)
+    cz = (c * zs * zs).astype(dtype)
     for y0 in range(-x2, ny - x2, rows):
         ys = np.arange(y0, min(y0 + rows, ny - x2), dtype=np.int64)
-        # int64 first: a coefficient may pass int32 where its coordinate is only 0
-        g = (d * ys)[:, None] * zs
-        g += (b * ys * ys)[:, None]
-        g += c * zs * zs
-        # rebound, so no int64 copy stays alive while the engine walks the chunk
-        g = g.astype(dtype, copy=False)
+        g = np.multiply.outer(ys.astype(dtype), dz)
+        g += (b * ys * ys).astype(dtype)[:, None]
+        g += cz
         yield ys, zs, g
         # dropped on resume, so a g the engine has dropped is freed before
         # the next chunk is built
@@ -253,38 +254,38 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     that gives it.  The work follows the box, not the ellipsoid, so a skewed
     (non-reduced) form can make the scan crawl; the catalog refuses one.
 
-    When the (y, z) slab is one chunk and the box more than one block, each
-    block is whole x slices, so the blocks run in ascending position.  The
-    scan then takes represented_mask(form, bound) before its key array and
-    stops after the first block that leaves none of the mask's members
-    without a key.  Every later block holds only larger positions, so no
+    The scan runs x ascending, one block at a time: whole x slices over a
+    (y, z) slab of one chunk, built once, or one x slice over each chunk
+    of a larger slab, rebuilt for each x.  When the box is more than one
+    block, the scan takes represented_mask(form, bound) before its key
+    array and stops after the first block that leaves none of the mask's
+    members without a key: later blocks hold only larger positions, so no
     key changes, and an n without a key is outside the mask, so it has no
-    vector at all.  Afterwards the keyed n must be exactly the mask's
-    members, or RuntimeError names the form and the bound.  A slab of
-    several chunks is scanned chunk by chunk, each over every x, so its
-    keys are final only at the end, and it takes no mask.
+    vector at all.  The keyed n must then be exactly the mask's members,
+    or RuntimeError names the form and the bound.
     """
     x1, x2, x3, worst = _scan_box(form, bound)
     a, b, c, d, e, f = form.coeffs()
     # the least witness's sign rules: y <= 0, z <= 0
     ny = x2 + 1 if f == 0 and (d == 0 or e == 0) else 2 * x2 + 1
     nz = x3 + 1 if d == e == 0 else 2 * x3 + 1
+    slab = (x2, x3, ny, nz)
     # every partial sum below is at most worst in absolute value
     dtype = np.int32 if worst <= np.iinfo(np.int32).max else np.int64
-    # a block is one chunk of one x slice, or whole x slices when the slab
-    # is one chunk, so each block's positions are contiguous
+    # x slices per block, so each chunk's positions in a block are contiguous
     step = max(1, _BLOCK_POINTS // (ny * nz))
-    # a slab of one chunk, cut into more than one block: the blocks run in
-    # ascending key, and the sumset tells when no member is left unkeyed
-    stop = ny * nz <= _BLOCK_POINTS and x1 >= step
+    # the sumset tells when no member is left without a key
+    stop = x1 >= step
     if stop:
         mask = represented_mask(form, bound)
         # every member below lo has a key
         lo = 1
     key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
-    for ys, zs, g in _chunks(b, c, d, (x2, x3, ny, nz), dtype):
-        for x0 in range(0, x1 + 1, step):
-            xs = np.arange(x0, min(x0 + step, x1 + 1), dtype=np.int64)[:, None]
+    # a slab of one chunk is built once; a larger one again for each x
+    held = list(_chunks(b, c, d, slab, dtype)) if ny * nz <= _BLOCK_POINTS else None
+    for x0 in range(0, x1 + 1, step):
+        xs = np.arange(x0, min(x0 + step, x1 + 1), dtype=np.int64)[:, None]
+        for ys, zs, g in held or _chunks(b, c, d, slab, dtype):
             # int64 first: a coefficient may pass int32 where its coordinate is only 0
             row = (a * xs * xs + f * xs * ys).astype(dtype)
             ez = (e * xs * zs).astype(dtype)
@@ -294,27 +295,23 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
             # F >= 0 on the box, and F = 0 only at the origin (key[0] reset below)
             pos = np.flatnonzero(flat <= bound)
             np.minimum.at(key, flat[pos], (x0 * ny + int(ys[0]) + x2) * nz + pos)
-            if stop:
-                # lo moves on to the next member without a key, _SEEK n at
-                # a time; keys are never unset, so lo never moves back, and
-                # the scan reads each key here once besides one window per block
-                while lo <= bound and not (
-                    hole := mask[lo:lo + _SEEK] & (key[lo:lo + _SEEK] == _NO_KEY)
-                ).any():
-                    lo += _SEEK
-                if lo > bound:
-                    # every later block holds only larger positions, so no
-                    # key would change
-                    break
-                lo += int(hole.argmax())
-        # the last block's arrays and the chunk's g, freed before _chunks
-        # builds the next chunk; freed after every block instead, each block
-        # faults in fresh pages (A1 at 2e4: ten times the faults, twice the time)
-        del vals, flat, pos, g
+        if stop:
+            # lo moves on to the next member without a key, _SEEK n at a
+            # time; keys are never unset, so lo never moves back, and the
+            # scan reads each key here once besides one window per block
+            while lo <= bound and not (
+                hole := mask[lo:lo + _SEEK] & (key[lo:lo + _SEEK] == _NO_KEY)
+            ).any():
+                lo += _SEEK
+            if lo > bound:
+                # every later block holds only larger positions, so no key
+                # would change
+                break
+            lo += int(hole.argmax())
     key[0] = _NO_KEY
     if stop and not np.array_equal(key != _NO_KEY, mask):
         raise RuntimeError(f"the keyed scan and the sumset of {form} to {bound} give different members")
-    return RepresentedSet(bound, key, (x2, x3, ny, nz))
+    return RepresentedSet(bound, key, slab)
 
 
 def _isolated(form: TernaryForm, bound: int, box):

@@ -25,7 +25,6 @@ __all__ = [
     "inconsistency",
     "in_Mt",
     "mt_mask",
-    "congruence_Mt",
     "squareclass_match",
     "squareclass_index",
     "squareclass_mask",
@@ -39,16 +38,6 @@ REPRESENTED = "REPRESENTED"
 EXCEPTIONAL = "EXCEPTIONAL"
 LOCALLY_EXCLUDED = "LOCALLY_EXCLUDED"
 INCONSISTENT = "INCONSISTENT"
-
-# -t is a p-adic square exactly on these residue classes of odd primes
-# (and for t = 7 also at p = 2, since -7 = 1 mod 8)
-_MT_TABLES = {
-    1: (4, frozenset({1})),
-    2: (8, frozenset({1, 3})),
-    3: (3, frozenset({1})),
-    7: (7, frozenset({1, 2, 4})),
-}
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -92,17 +81,6 @@ def mt_mask(t: int, wmax: int) -> np.ndarray:
             if not is_padic_square(p, -t):
                 ok[p::p] = False
     return ok
-
-
-def congruence_Mt(t: int, w: int) -> bool:
-    """Independent route to in_Mt through the congruence description of
-    the generating primes."""
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    if t not in _MT_TABLES:
-        raise ValueError(f"no congruence table for t={t}")
-    mod, allowed = _MT_TABLES[t]
-    return all(p % mod in allowed for p, _ in factor(w))
 
 
 def squareclass_match(spec, n: int) -> tuple[int, int] | None:

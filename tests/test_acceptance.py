@@ -12,6 +12,7 @@ from time import perf_counter
 
 import numpy as np
 import pytest
+from mt_congruence import congruence_Mt
 
 from spinor_ternary.arith import factor, hilbert
 from spinor_ternary.forms_core import discriminant, represented_mask
@@ -26,7 +27,6 @@ from spinor_ternary.local_solver import (
 )
 from spinor_ternary.spinor_theory import (
     closed_form_missed_mask,
-    congruence_Mt,
     exceptional_general_mask,
     in_Mt,
     mt_mask,

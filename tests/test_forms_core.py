@@ -51,6 +51,8 @@ PAST_A_BLOCK_AND_INT32 = (
     (TernaryForm(1, 1, 2**28 + 1, 2**15, 0, 0), 16),
     # a coefficient past int32 on a box that is only x = 0
     (TernaryForm(2**40, 1, 1, 0, 0, 0), 10),
+    # a cross coefficient past int32 on a box that is only y = 0
+    (TernaryForm(1, 2**61, 1, 2**31 + 1, 0, 0), 10),
 )
 # more classes of w mod 2a than one pass of the sumset holds (2a = 18)
 MANY_CLASSES = TernaryForm(9, 10, 11, 1, 1, 1)
@@ -461,21 +463,29 @@ def edit_sumset(monkeypatch, ns, value):
 
 
 class TestSumsetStop:
-    """On a slab of one chunk cut into several blocks, the keyed scan's
-    blocks run in ascending key: it stops after the first block that leaves
-    no member of the sumset without a key, and its members must then be
-    the sumset's.  A1 at 20000 has a 213 x 141 slab, two x slices a block
-    and 54 blocks; the last least witness has x = 32, in block 17."""
+    """On a box of several blocks, the keyed scan's blocks run in
+    ascending key: it stops after the first block that leaves no member of
+    the sumset without a key, and its members must then be the sumset's.
+    A1 at 20000 has a 213 x 141 slab, one chunk, two x slices a block and
+    54 blocks; the last least witness has x = 32, in block 17."""
 
     BOUND = 20000
+    # _BLOCK_POINTS, or None for the module's own
+    POINTS = None
+    STEP = 2
+
+    @pytest.fixture(autouse=True)
+    def block_points(self, monkeypatch):
+        if self.POINTS is not None:
+            monkeypatch.setattr(forms_core, "_BLOCK_POINTS", self.POINTS)
 
     def least_x(self):
         """A1's members to BOUND, the x of each least witness, and the x
         slices per block of the keyed scan."""
         member, (x, _, _) = slice_scan_least(A1, self.BOUND)
         ny, nz = enumerate_represented(A1, self.BOUND)._box[2:]
-        step = forms_core._BLOCK_POINTS // (ny * nz)
-        assert (step, x.max()) == (2, 32)
+        step = max(1, forms_core._BLOCK_POINTS // (ny * nz))
+        assert (step, x.max()) == (self.STEP, 32)
         return np.flatnonzero(member), x, step
 
     def test_keys_match_slice_scan(self, monkeypatch):
@@ -515,6 +525,16 @@ class TestSumsetStop:
         assert main(["report", "A1", "--bound", str(self.BOUND)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: RuntimeError: {message}\n")
+
+
+class TestSumsetStopOnChunks(TestSumsetStop):
+    """The same stop on a slab of several chunks: at 4096 points a chunk,
+    A1's slab is cut into eight chunks of at most 29 y rows, each block is
+    one x slice over all of them, and the last least witness is in block
+    33."""
+
+    POINTS = 4096
+    STEP = 1
 
 
 class TestScanBytes:

@@ -4,6 +4,7 @@ criterion, and the three-way classifier built on top of it."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mt_congruence import congruence_Mt
 
 from spinor_ternary.arith import normgroup_is_closed
 from spinor_ternary.catalog import LocalData, LocalSplitting
@@ -13,7 +14,6 @@ from spinor_ternary.spinor_theory import (
     LOCALLY_EXCLUDED,
     REPRESENTED,
     classify,
-    congruence_Mt,
     in_Mt,
     spinor_exceptional_general,
     squareclass_match,
