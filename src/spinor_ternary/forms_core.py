@@ -226,14 +226,18 @@ def _chunks(b: int, c: int, d: int, box, dtype):
     """Yield (ys, zs, g) over the (y, z) box (x2, x3, ny, nz), ny values of
     y from -x2 and nz of z from -x3, cut into chunks of whole y rows of at
     most _BLOCK_POINTS points: the chunk's ys, every z, and g = b y^2 +
-    d y z + c z^2 on the chunk in dtype.  A row alone passes _BLOCK_POINTS
-    only when nz > 65 536, at bounds near 1e9."""
+    d y z + c z^2 on the chunk in dtype.  The fewest chunks are cut, of about
+    equal rows.  A row alone passes _BLOCK_POINTS only when nz > 65 536,
+    at bounds near 1e9.  The caller still holds the last chunk while the
+    next is built."""
     x2, x3, ny, nz = box
     zs = np.arange(-x3, nz - x3, dtype=np.int64)
     rows = min(ny, max(1, _BLOCK_POINTS // nz))
-    # each term of one variable in int64, as a coefficient may pass dtype
-    # where its coordinate is only 0 (d y z is then 0); every 2-D pass in dtype
-    dz = ((d if x2 and x3 else 0) * zs).astype(dtype)
+    # rows evened out: a short last chunk made the allocator hand pages
+    # back and fault them in again on every x of a rebuilt slab
+    rows = -(-ny // -(-ny // rows))
+    # each term of one variable in int64 before the cast; every 2-D pass in dtype
+    dz = (d * zs).astype(dtype)
     cz = (c * zs * zs).astype(dtype)
     for y0 in range(-x2, ny - x2, rows):
         ys = np.arange(y0, min(y0 + rows, ny - x2), dtype=np.int64)
@@ -241,9 +245,6 @@ def _chunks(b: int, c: int, d: int, box, dtype):
         g += (b * ys * ys).astype(dtype)[:, None]
         g += cz
         yield ys, zs, g
-        # dropped on resume, so a g the engine has dropped is freed before
-        # the next chunk is built
-        del g
 
 
 def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:

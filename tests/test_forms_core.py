@@ -529,9 +529,9 @@ class TestSumsetStop:
 
 class TestSumsetStopOnChunks(TestSumsetStop):
     """The same stop on a slab of several chunks: at 4096 points a chunk,
-    A1's slab is cut into eight chunks of at most 29 y rows, each block is
-    one x slice over all of them, and the last least witness is in block
-    33."""
+    A1's slab is cut into eight chunks of 27 y rows (24 in the last), each
+    block is one x slice over all of them, and the last least witness is in
+    block 33."""
 
     POINTS = 4096
     STEP = 1
