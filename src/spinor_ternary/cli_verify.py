@@ -41,19 +41,30 @@ from .spinor_theory import (
 
 DEFAULT_BOUND = 50000
 _ROWS = 1 << 12  # rows that write_report formats and writes at a time
+
+
+def _table(strs) -> np.ndarray:
+    """strs as one bytes item each, NUL-padded to the longest.  No table
+    str holds NUL, so dropping every NUL from items of tables leaves their
+    text."""
+    return np.array(strs, dtype=bytes)
+
+
 # the last three digits of n: "0".."999" below 1000, "000".."999" above
-_LOW = np.array([str(v) for v in range(1000)] + [f"{v:03d}" for v in range(1000)], dtype=object)
+_LOW = _table([str(v) for v in range(1000)] + [f"{v:03d}" for v in range(1000)])
 
 # Peak bytes per n of one process: the slope of its peak RSS between two
 # bounds on B11 (Python 3.11, numpy 2.4).  verify 9 (8e5 -> 3.2e6 on A12 and
 # C4, whose peak is the sumset's mask and 8 class rows; 8 on B4, B11 and
 # A1, whose peak is the route masks and, on B4 and B11, the closed form's
-# strided classes), report 16 (key, masks and a one-byte detail code per n,
-# also on B12, 14 on A1 and C4, 12 on A12; 1e5 -> 3e5), classify 11 (key,
-# the sumset's mask and the two bool arrays of the scan's closing member
+# strided classes), report 17 (key, masks and a one-byte detail code per n,
+# also on B12, 16 on A1 and C4, 12 on A12; 1e5 -> 3e5, where a slice's fixed
+# 0.6 MB of byte arrays sets the peak at 3e5 but not at 1e5; 15 on B11 and
+# A1 from 1e6 -> 3e6), classify 10 (key,
+# the sumset's mask and the one bool array of the scan's closing member
 # check, also on B12, A1 and B2; 1e6 -> 4e6), exceptional-list 2 (1e6 -> 4e6);
 # each cap sits above its measurement.  Each is at least the scan's own
-# per-n arrays (at most 1 + 8 for verify's sumset, 8 + 1 + 2 for the keyed
+# per-n arrays (at most 1 + 8 for verify's sumset, 8 + 1 + 1 for the keyed
 # scan's key, its sumset mask and the member check), so with
 # forms_core.BLOCK_BYTES it bounds the scan too.
 _BYTES_PER_N = {"verify": 11, "report": 22, "classify": 12, "exceptional-list": 4}
@@ -190,36 +201,43 @@ def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationRepor
 
 # ----------------------------------------------------------------- report
 
-def _column(v: np.ndarray, end: str, wit: np.ndarray, m: int) -> list[str]:
-    """m strs: f"{v[i]}{end}" at row wit[i], "" at every other row, each a
-    reference into one table over v's range."""
-    table = [""]
-    pick = np.zeros(m, dtype=np.intp)
-    if wit.size:
-        v0 = int(v.min())
-        table += [f"{c}{end}" for c in range(v0, int(v.max()) + 1)]
-        pick[wit] = v - (v0 - 1)
-    return np.array(table, dtype=object)[pick].tolist()
+def _row_formatter(ns: range, details, xs: range, ys: range, zs: range):
+    """rows(lo, codes, x, y, z): the report rows of n = lo .. lo +
+    len(codes) - 1, all in ns, as one str.  Each is n, then details[code]; a
+    row of code 0 (REPRESENTED, whose detail opens the witness) then takes
+    the next (x, y, z) of the witness arrays, each coordinate in its range
+    xs, ys or zs.
 
+    The byte tables (n's digits above its last three, the details, and
+    each coordinate with its "," or ")\n") are built here, once per
+    record.  A slice is one row per n of six table items side by side, n's
+    last three digits from `_LOW` and the coordinates NUL outside the
+    witness rows; dropping every NUL then gives its text, so no str is
+    formatted per row."""
+    h0 = ns.start // 1000
+    tables = [
+        _table([str(h) if h else "" for h in range(h0, (ns.stop - 1) // 1000 + 1)]),
+        _LOW,
+        _table(details),
+        *(_table([f"{v}{end}" for v in r]) for r, end in ((xs, ","), (ys, ","), (zs, ")\n"))),
+    ]
+    row = np.dtype([(f"c{i}", t.dtype) for i, t in enumerate(tables)])
+    starts = (xs.start, ys.start, zs.start)
 
-def _format_rows(lo: int, codes: np.ndarray, details, x, y, z) -> str:
-    """The report rows of n = lo .. lo + len(codes) - 1 as one str: n, then
-    details[code]; a row of code 0 (REPRESENTED, whose detail opens the
-    witness) then takes the next (x, y, z) of the witness arrays.  Each row
-    is six references into tables, so no str is formatted per row."""
-    m = len(codes)
-    n = np.arange(lo, lo + m)
-    h0 = lo // 1000
-    high = [str(h) if h else "" for h in range(h0, (lo + m - 1) // 1000 + 1)]
-    wit = np.flatnonzero(codes == 0)
-    out = [None] * (6 * m)
-    out[0::6] = np.array(high, dtype=object)[n // 1000 - h0].tolist()
-    out[1::6] = _LOW[n % 1000 + 1000 * (n >= 1000)].tolist()
-    out[2::6] = np.array(details, dtype=object)[codes].tolist()
-    out[3::6] = _column(x, ",", wit, m)
-    out[4::6] = _column(y, ",", wit, m)
-    out[5::6] = _column(z, ")\n", wit, m)
-    return "".join(out)
+    def rows(lo: int, codes: np.ndarray, x, y, z) -> str:
+        n = np.arange(lo, lo + len(codes))
+        high, low = np.divmod(n, 1000)
+        low[high > 0] += 1000
+        high -= h0
+        out = np.zeros(len(codes), dtype=row)
+        for name, t, i in zip(row.names, tables, (high, low, codes)):
+            out[name] = t.take(i)
+        wit = np.flatnonzero(codes == 0)
+        for name, t, v, v0 in zip(row.names[3:], tables[3:], (x, y, z), starts):
+            out[name][wit] = t.take(v - v0)
+        return out.tobytes().translate(None, b"\0").decode("ascii")
+
+    return rows
 
 
 def write_report(records, bound: int, stream) -> int:
@@ -230,11 +248,12 @@ def write_report(records, bound: int, stream) -> int:
     REPRESENTED, then one per ramified prime (LOCALLY_EXCLUDED), one per
     squareclass entry (EXCEPTIONAL) and one per distinct (represented,
     failing prime, squareclass) finding among the INCONSISTENT n.  Rows are
-    put together _ROWS at a time by `_format_rows` from references into
-    shared tables (the n's last three digits in `_LOW`, the digits above
-    them, the detail, and each witness coordinate over the slice's range),
-    then joined and written once, so no str or list spans more than a
-    slice.  Returns the number of INCONSISTENT rows (0 in a healthy run)."""
+    put together _ROWS at a time by `_row_formatter` from byte tables built
+    once per record (the detail strs, n's digits above its last three, and
+    x over the witnesses' range, y and z over the scan's box), each slice
+    taken from the tables in a few gathers, stripped of its NUL padding and
+    written once, so no str or array spans more than a slice.  Returns the
+    number of INCONSISTENT rows (0 in a healthy run)."""
     total = 0
     for rec in records:
         rs = enumerate_represented(rec.sgi_forms[0], bound)
@@ -242,8 +261,13 @@ def write_report(records, bound: int, stream) -> int:
         fail, idx, bad = record_masks(rec, bound, rep)
         primes, spec = rec.ramified_primes(), rec.exceptional_spec
         bad_n = np.flatnonzero(bad)
+        # fail (0 or a ramified prime) and idx (>= -1) are int8, so one
+        # int64 keys each finding in (represented, fail, idx) order
         found, which = np.unique(
-            np.column_stack((rep[bad_n], fail[bad_n], idx[bad_n])), axis=0, return_inverse=True
+            (rep[bad_n].astype(np.int64) << 16)
+            | (fail[bad_n].astype(np.int64) << 8)
+            | (idx[bad_n].astype(np.int64) + 1),
+            return_inverse=True,
         )
         details = (
             [f"\t{REPRESENTED}\t("]
@@ -251,7 +275,7 @@ def write_report(records, bound: int, stream) -> int:
             + [f"\t{EXCEPTIONAL}\ts={s},t={t}\n" for s, t in spec]
             + [
                 f"\t{INCONSISTENT}\t{inconsistency(bool(r), f or None, spec[i] if i >= 0 else None)}\n"
-                for r, f, i in found.tolist()
+                for r, f, i in ((v >> 16, v >> 8 & 255, (v & 255) - 1) for v in found.tolist())
             ]
         )
         # the first EXCEPTIONAL and the first INCONSISTENT code
@@ -263,17 +287,23 @@ def write_report(records, bound: int, stream) -> int:
         codes = lut[fail]
         ex = idx >= 0
         codes[ex] = ex0 + idx[ex].astype(codes.dtype)
-        codes[bad_n] = bad0 + which.ravel()
+        codes[bad_n] = bad0 + which
         # one pass per code: np.bincount would widen codes to 8 B/n
         count = [np.count_nonzero(codes[1:] == c) for c in range(bad0)]
         stream.write(
             f"# record {rec.rid} bound={bound} represented={count[0]}"
             f" exceptional={sum(count[ex0:])} locally_excluded={sum(count[1:ex0])}\n"
         )
+        # x from 0 to the largest witness's, y and z over the scan's box
+        x2, x3, ny, nz = rs._box
+        xmax = int(rs._key.max(where=rep, initial=0)) // (ny * nz)
+        rows = _row_formatter(
+            range(1, bound + 1), details, range(xmax + 1), range(-x2, ny - x2), range(-x3, nz - x3)
+        )
         for lo in range(1, bound + 1, _ROWS):
             part = codes[lo:lo + _ROWS]
             x, y, z = rs.witnesses(np.flatnonzero(part == 0) + lo)
-            stream.write(_format_rows(lo, part, details, x, y, z))
+            stream.write(rows(lo, part, x, y, z))
         total += bad_n.size
     return total
 

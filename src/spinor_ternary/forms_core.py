@@ -310,8 +310,12 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
                 break
             lo += int(hole.argmax())
     key[0] = _NO_KEY
-    if stop and not np.array_equal(key != _NO_KEY, mask):
-        raise RuntimeError(f"the keyed scan and the sumset of {form} to {bound} give different members")
+    if stop:
+        # one bool array of bound + 1: the members where the two differ
+        differ = key != _NO_KEY
+        differ ^= mask
+        if differ.any():
+            raise RuntimeError(f"the keyed scan and the sumset of {form} to {bound} give different members")
     return RepresentedSet(bound, key, slab)
 
 

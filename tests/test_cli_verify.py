@@ -639,8 +639,12 @@ class TestReportCommand:
             "a65304a5644e17fffe687d6716903239477af00d6136883780bb9b04c53cd664"
         )
 
-    def test_wide_box_bytes(self, capsys):
-        # A1 at 2e4 holds the largest witness keys of the benchmark reports
+    @pytest.mark.parametrize("rows", (4096, 997))
+    def test_wide_box_bytes(self, capsys, monkeypatch, rows):
+        # A1 at 2e4 holds the largest witness keys of the benchmark reports;
+        # slices of 997 rows straddle every 1000 and 10000 while the
+        # record's byte tables are reused
+        monkeypatch.setattr(cli_verify, "_ROWS", rows)
         code, out, _ = run(capsys, "report", "A1", "--bound", "20000")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -709,6 +713,8 @@ class TestReportCommand:
         (999, [0]),  # one row
         (1000, [0]),
         (123456, [3]),
+        # two witness rows across 10^4, at both ends of every table
+        (9999, [0, 1, 0]),
     ))
     def test_format_rows_matches_fstrings(self, lo, codes):
         verdicts = [
@@ -721,9 +727,12 @@ class TestReportCommand:
             codes = rng.integers(0, len(details), 2100)
         codes = np.array(codes, dtype=np.int8)
         wit = np.flatnonzero(codes == 0)
-        # x >= 0, y and z of both signs, zeros among all three
+        # x >= 0, y and z of both signs, zeros among all three; the first
+        # and the last witness sit at opposite ends of the tables
         x = rng.integers(0, 40, wit.size)
         y, z = rng.integers(-40, 40, (2, wit.size))
+        if wit.size > 1:
+            x[[0, -1]], y[[0, -1]], z[[0, -1]] = (0, 39), (-40, 39), (39, -40)
         want, w = [], iter(zip(x.tolist(), y.tolist(), z.tolist()))
         for n, c in enumerate(codes.tolist(), lo):
             if c == 0:
@@ -732,7 +741,10 @@ class TestReportCommand:
             else:
                 verdict, detail = verdicts[c - 1]
                 want.append(f"{n}\t{verdict}\t{detail}\n")
-        assert cli_verify._format_rows(lo, codes, details, x, y, z) == "".join(want)
+        rows = cli_verify._row_formatter(
+            range(lo, lo + len(codes)), details, range(40), range(-40, 40), range(-40, 40)
+        )
+        assert rows(lo, codes, x, y, z) == "".join(want)
 
     def test_rows_match_pointwise_classify(self, capsys, catalog, tmp_path):
         # classify decides one n at a time (locally_represented,
