@@ -142,9 +142,12 @@ def legendre(a: int, p: int) -> int:
 
 
 def is_padic_square(p: int, m: int) -> bool:
-    """True iff nonzero m is a square in Q_p."""
+    """True iff nonzero m is a square in Q_p: its key is (0, 1), which for
+    a unit m at odd p is Euler's criterion."""
     if m == 0:
         raise ValueError("is_padic_square undefined at 0")
+    if p != 2 and m % p:
+        return pow(m, (p - 1) // 2, p) == 1
     return _sq_class_key(p, m) == (0, 1)
 
 
@@ -186,7 +189,12 @@ def hilbert(p: int, a: int, b: int) -> int:
     """Hilbert symbol (a,b)_p over Q_p, a pairing of the two squareclass keys."""
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    (alpha, u), (beta, v) = _sq_class_key(p, a), _sq_class_key(p, b)
+    return _key_pairing(p, _sq_class_key(p, a), _sq_class_key(p, b))
+
+
+def _key_pairing(p: int, key_a, key_b) -> int:
+    """(a,b)_p from the squareclass keys of a and b."""
+    (alpha, u), (beta, v) = key_a, key_b
     if p == 2:
         e = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
     else:

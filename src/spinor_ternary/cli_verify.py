@@ -54,13 +54,12 @@ def _table(strs) -> np.ndarray:
 _LOW = _table([str(v) for v in range(1000)] + [f"{v:03d}" for v in range(1000)])
 
 # Peak bytes per n of one process: the slope of its peak RSS between two
-# bounds on B11 (Python 3.11, numpy 2.4).  verify 9 (8e5 -> 3.2e6 on A12 and
-# C4, whose peak is the sumset's mask and 8 class rows; 8 on B4, B11 and
-# A1, whose peak is the route masks and, on B4 and B11, the closed form's
-# strided classes), report 17 (key, masks and a one-byte detail code per n,
-# also on B12, 16 on A1 and C4, 12 on A12; 1e5 -> 3e5, where a slice's fixed
-# 0.6 MB of byte arrays sets the peak at 3e5 but not at 1e5; 15 on B11 and
-# A1 from 1e6 -> 3e6), classify 10 (key,
+# bounds (Python 3.11, numpy 2.4), 1e6 -> 3e6 unless named, where the per-n
+# arrays set the peak.  verify 9 on A12 and C4, whose peak is the sumset's
+# mask and 8 class rows, and 8 on B4, B11 and A1, whose peak is the route
+# masks and, on B4 and B11, the closed form's strided classes; report 15 on
+# B12, A1, C4 and B11 (key, masks and a one-byte detail code per n) and 16
+# on A12, whose sumset holds 8 class rows beside the key; classify 10 (key,
 # the sumset's mask and the one bool array of the scan's closing member
 # check, also on B12, A1 and B2; 1e6 -> 4e6), exceptional-list 2 (1e6 -> 4e6);
 # each cap sits above its measurement.  Each is at least the scan's own
@@ -138,9 +137,9 @@ def verify_record(rec: GenusRecord, bound: int) -> VerificationReport:
     return VerificationReport(
         rid=rec.rid,
         bound=bound,
-        represented=int(rep[1:].sum()),
-        exceptional=int((gen & ~rep)[1:].sum()),
-        locally_excluded=int(bound - gen[1:].sum()),
+        represented=int(np.count_nonzero(rep[1:])),
+        exceptional=int(np.count_nonzero((gen & ~rep)[1:])),
+        locally_excluded=bound - int(np.count_nonzero(gen[1:])),
         mismatches=np.flatnonzero(bad).tolist(),
         seconds=perf_counter() - t0,
     )
@@ -202,11 +201,12 @@ def verify_records(records, bound: int, jobs: int = 1) -> list[VerificationRepor
 # ----------------------------------------------------------------- report
 
 def _row_formatter(ns: range, details, xs: range, ys: range, zs: range):
-    """rows(lo, codes, x, y, z): the report rows of n = lo .. lo +
+    """rows(lo, codes, wit, x, y, z): the report rows of n = lo .. lo +
     len(codes) - 1, all in ns, as one str.  Each is n, then details[code]; a
-    row of code 0 (REPRESENTED, whose detail opens the witness) then takes
-    the next (x, y, z) of the witness arrays, each coordinate in its range
-    xs, ys or zs.
+    row of code 0 (REPRESENTED, whose detail opens the witness), at the
+    positions wit = np.flatnonzero(codes == 0), then takes the next
+    (x, y, z) of the witness arrays, each coordinate in its range xs, ys
+    or zs.
 
     The byte tables (n's digits above its last three, the details, and
     each coordinate with its "," or ")\n") are built here, once per
@@ -224,7 +224,7 @@ def _row_formatter(ns: range, details, xs: range, ys: range, zs: range):
     row = np.dtype([(f"c{i}", t.dtype) for i, t in enumerate(tables)])
     starts = (xs.start, ys.start, zs.start)
 
-    def rows(lo: int, codes: np.ndarray, x, y, z) -> str:
+    def rows(lo: int, codes: np.ndarray, wit: np.ndarray, x, y, z) -> str:
         n = np.arange(lo, lo + len(codes))
         high, low = np.divmod(n, 1000)
         low[high > 0] += 1000
@@ -232,7 +232,6 @@ def _row_formatter(ns: range, details, xs: range, ys: range, zs: range):
         out = np.zeros(len(codes), dtype=row)
         for name, t, i in zip(row.names, tables, (high, low, codes)):
             out[name] = t.take(i)
-        wit = np.flatnonzero(codes == 0)
         for name, t, v, v0 in zip(row.names[3:], tables[3:], (x, y, z), starts):
             out[name][wit] = t.take(v - v0)
         return out.tobytes().translate(None, b"\0").decode("ascii")
@@ -302,8 +301,8 @@ def write_report(records, bound: int, stream) -> int:
         )
         for lo in range(1, bound + 1, _ROWS):
             part = codes[lo:lo + _ROWS]
-            x, y, z = rs.witnesses(np.flatnonzero(part == 0) + lo)
-            stream.write(rows(lo, part, x, y, z))
+            wit = np.flatnonzero(part == 0)
+            stream.write(rows(lo, part, wit, *rs.witnesses(wit + lo)))
         total += bad_n.size
     return total
 

@@ -61,8 +61,9 @@ _BLOCK_POINTS = 1 << 16
 # Peak bytes a scan holds besides its per-n arrays, per chunk point at int64
 # width: in the keyed scan the chunk's g, one block's F and its filter, and
 # the in-range positions, F and keys (8 + 8 + 1 + 3 * 8); in the sumset, g,
-# q and t while h is built (3 * 8), then h, r, the filter and the scatter's
-# two indices (8 + 8 + 1 + 2 * 8).
+# w, q and r while divmod runs, then g, q, r and t (4 * 8), and last the
+# flat index, its filter and the kept indices (8 + 1 + 8), each about half
+# that at int32.
 BLOCK_BYTES = 41 * _BLOCK_POINTS
 # key of an n that no vector gives
 _NO_KEY = np.iinfo(np.int64).max
@@ -194,6 +195,14 @@ class RepresentedSet:
         return x, y - x2, z - x3
 
 
+def _worst(coeffs, radii) -> int:
+    """A bound on |F| and on each of its partial sums over the box |x| <= x1,
+    |y| <= x2, |z| <= x3, radii = (x1, x2, x3)."""
+    a, b, c, d, e, f = map(abs, coeffs)
+    x1, x2, x3 = radii
+    return a * x1 * x1 + b * x2 * x2 + c * x3 * x3 + d * x2 * x3 + e * x1 * x3 + f * x1 * x2
+
+
 def _scan_box(form: TernaryForm, bound: int):
     """(x1, x2, x3, worst): the radii of the box |x| <= x1, |y| <= x2,
     |z| <= x3 around the ellipsoid F <= bound, and a bound worst on |F| and
@@ -207,15 +216,7 @@ def _scan_box(form: TernaryForm, bound: int):
     adj_diag = [row[i] for i, row in enumerate(form.gram_adjugate())]
     det = form.gram_det()
     x1, x2, x3 = (math.isqrt(2 * bound * m // det) for m in adj_diag)
-    a, b, c, d, e, f = form.coeffs()
-    worst = (
-        abs(a) * x1 * x1
-        + abs(b) * x2 * x2
-        + abs(c) * x3 * x3
-        + abs(d) * x2 * x3
-        + abs(e) * x1 * x3
-        + abs(f) * x1 * x2
-    )
+    worst = _worst(form.coeffs(), (x1, x2, x3))
     # numpy holds each coefficient too, even where its coordinate is only 0
     if worst >= _INT64_GUARD or max(map(abs, form.coeffs())) >= _INT64_GUARD:
         raise BoundOverflowError(f"bound {bound} overflows 64-bit intermediates for {form}")
@@ -356,41 +357,60 @@ def represented_mask(form: TernaryForm, bound: int) -> np.ndarray:
     the (y, z) with w = r mod 2a.  Only r in step * {0..k-1} occur
     (_isolated, which also picks the variable to isolate).
 
-    h and r come from the chunks of the (y, z) box (_chunks) and are
-    scattered into _CLASS_ROWS rows of H at a time; a form with more
-    classes walks the chunks again for each further _CLASS_ROWS.  So the
-    mask holds 1 + min(k, _CLASS_ROWS) bytes per n besides one chunk.
+    h and r come from the chunks of the (y, z) box (_chunks): q, r =
+    divmod(w, 2a) and h = g - (a q + r) q, or h = g where e = f = 0 (then
+    w = q = r = 0).  Each chunk is scattered into _CLASS_ROWS rows of H at
+    a time, laid end to end, through the one flat index
+    r / step * (bound + 1) + h of its n with h <= bound; a form with more
+    classes walks the chunks again for each further _CLASS_ROWS, and only
+    then is r tested against the rows held.  So the mask holds
+    1 + min(k, _CLASS_ROWS) bytes per n besides one chunk.
+
+    A chunk is int32 wherever that cannot overflow.  On the box |y| <= r2,
+    |z| <= r3, |w| <= |f| r2 + |e| r3, so |q| <= qmax = that // 2a + 1.
+    Every value the chunk holds is then at most W = _worst of the
+    coefficients over the radii (qmax, r2, r3) in absolute value: g and its
+    partial sums; w and its terms; q; a q + r = w - a q; (a q + r) q, at
+    most (|w| + a qmax) qmax; and h = g - (a q + r) q, at most |g| plus
+    that.  The divisor 2a must fit too.  The flat index wraps where h >
+    bound or r lies outside the rows held, but those entries are dropped,
+    and a kept one is below the rows' size held * (bound + 1), so it is
+    exact in any width that holds that size.  So the chunk is int32 where
+    max(W, 2a, held * (bound + 1)) < 2^31, and int64 otherwise.
     """
     (a, b, c, d, e, f), yz, step, k = _isolated(form, bound, _scan_box(form, bound))
-    mask = np.zeros(bound + 1, dtype=bool)
+    r2, r3 = yz[:2]
+    qmax = (abs(f) * r2 + abs(e) * r3) // (2 * a) + 1
     held = min(k, _CLASS_ROWS)
+    span = max(_worst((a, b, c, d, e, f), (qmax, r2, r3)), 2 * a, held * (bound + 1))
+    dtype = np.int32 if span <= np.iinfo(np.int32).max else np.int64
+    mask = np.zeros(bound + 1, dtype=bool)
     hs = np.empty((held, bound + 1), dtype=bool)
+    ez = (e * np.arange(-r3, r3 + 1, dtype=np.int64)).astype(dtype)
     for c0 in range(0, k, held):
         hs[:] = False
-        for ys, zs, h in _chunks(b, c, d, yz, np.int64):
-            # in place, so a chunk holds three int64 arrays: g becomes
-            # h = g + q (a q - w), and q becomes r = w - 2a q; every value
-            # stays within _scan_box's int64 guard
-            fy, ez = (f * ys)[:, None], e * zs
-            q = fy + ez
-            q //= 2 * a
-            t = q * a
-            t -= fy
-            t -= ez
-            t *= q
-            h += t
-            del t
-            r = q
-            r *= -2 * a
-            r += fy
-            r += ez
-            del fy, ez
-            r //= step
-            r -= c0
-            keep = (h <= bound) & (r >= 0) & (r < held)
-            hs[r[keep], h[keep]] = True
+        for ys, _, h in _chunks(b, c, d, yz, dtype):
+            # in place where it can be: g becomes h, then h the flat index
+            if e or f:
+                q, r = np.divmod((f * ys).astype(dtype)[:, None] + ez, 2 * a)
+                t = q * a
+                t += r
+                t *= q
+                h -= t
+                del q, t
+                keep = h <= bound
+                r //= step
+                if k > held:
+                    r -= c0
+                    keep &= (r >= 0) & (r < held)
+                r *= bound + 1
+                h += r
+                del r
+            else:
+                keep = h <= bound
+            hs.reshape(-1)[h[keep]] = True
             # so the next chunk's g is built beside this chunk's g alone
-            del q, r, keep
+            del keep
         for j in range(min(held, k - c0)):
             row, r = hs[j], (c0 + j) * step
             x = 0

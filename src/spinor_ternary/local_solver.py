@@ -304,15 +304,20 @@ def locally_represented(form: TernaryForm, p: int, n: int) -> bool:
 
 
 def local_mask(form: TernaryForm, p: int, bound: int) -> np.ndarray:
-    """Bool array over 0..bound: n -> L_p (index 0 unused, False)."""
+    """Bool array over 0..bound: n -> L_p (index 0 unused, False).
+
+    n -> L_p iff n / p^(2j) is primitively represented for some p^(2j) | n:
+    for each scaling k = p^(2j), the multiples k*m read the table at
+    m mod p^J, i.e. a prefix of the table's hits tiled over 0..bound.  The
+    hits are taken of the table's first bound + 1 entries at most, and
+    np.tile copies them in one pass to less than one table past the bound,
+    where np.resize would join one array per copy."""
     _check_prime(p)
     if unramified_shortcut(form, p):
         return np.arange(bound + 1) > 0
-    # n -> L_p iff n / p^(2j) is primitively represented for some p^(2j) | n:
-    # for each scaling k = p^(2j), the multiples k*m read the table at
-    # m mod p^J, i.e. a prefix of the table tiled over 0..bound
     _j, first, _rows, _depth = _class_tree(form, p)
-    hit = np.resize(first, bound + 1) >= 0
+    hit = first[: bound + 1] >= 0
+    hit = np.tile(hit, -(-(bound + 1) // hit.size))
     out = np.zeros(bound + 1, dtype=bool)
     k = 1
     while k <= bound:
@@ -335,7 +340,7 @@ def first_failing_prime(record, bound: int) -> np.ndarray:
     out = np.zeros(bound + 1, dtype=np.int8)
     # later primes first, so an earlier failing prime overwrites them
     for p in reversed(record.ramified_primes()):
-        out[~local_mask(form, p, bound)] = p
+        np.putmask(out, ~local_mask(form, p, bound), p)
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factor, in_local_norm_group, is_padic_square, ord_p
+from .arith import _key_pairing, _sq_class_key, factor, is_padic_square, ord_p
 from .forms_core import RepresentedSet, Witness
 from .local_solver import LEMMA71_CLASSES, LEMMA72_CLASSES, lemma73_classes, locally_represented
 
@@ -69,17 +69,21 @@ def in_Mt(t: int, w: int) -> bool:
     return all(is_padic_square(p, -t) for p, _ in factor(w))
 
 
+def _primes(n: int) -> list[int]:
+    """The primes up to n, ascending."""
+    sieve = np.arange(n + 1) > 1
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return np.flatnonzero(sieve).tolist()
+
+
 def mt_mask(t: int, wmax: int) -> np.ndarray:
     """mask[w] == (w in M_t) for 0 <= w <= wmax (index 0 is False)."""
-    ok = np.ones(wmax + 1, dtype=bool)
-    ok[0] = False
-    sieve = np.ones(wmax + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, wmax + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-            if not is_padic_square(p, -t):
-                ok[p::p] = False
+    ok = np.arange(wmax + 1) > 0
+    for p in _primes(wmax):
+        if not is_padic_square(p, -t):
+            ok[p::p] = False
     return ok
 
 
@@ -143,10 +147,11 @@ def _ramified_clause(record, n: int) -> bool:
     ndelta = n * record.delta
     for p in record.ramified_primes():
         data = record.local_data[p]
-        for gen in data.theta:
-            if not in_local_norm_group(p, gen, ndelta):
-                return False
-        if is_padic_square(p, -ndelta):
+        # -n*delta's squareclass, for its norm group and its squareness
+        key = _sq_class_key(p, -ndelta)
+        if any(_key_pairing(p, _sq_class_key(p, gen), key) != 1 for gen in data.theta):
+            return False
+        if key == (0, 1):
             continue
         cutoff = data.cutoff
         if cutoff is None:
@@ -168,16 +173,19 @@ def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
     r*m^2 is exceptional exactly when r is and every q | m has -r*delta
     square in Q_q.
 
-    The ramified clause reads r = prod p^e_p only through its signature,
-    one pair (e_p mod 2, e_p > cutoff_p) per ramified p (False where no
-    cutoff is recorded), so it is asked once per signature, on the first
-    genus-represented part that has it.  Two parts with the same parities
-    differ by a rational square, so -r*delta has one squareclass at every
-    prime: the same Hilbert symbols and the same squareness.  The cutoff
-    test reads only whether e_p > cutoff_p.  So the clause's verdict, or
-    its raise, is the signature's, and a raise comes at the same first
-    part as when every part is asked.  `genus` and the m-sieve stay per
-    part, since local representability reads more than the signature."""
+    Two parts with the same parity vector (e_p mod 2) differ by a rational
+    square, so -r*delta has one squareclass at every prime: the same
+    Hilbert symbols and the same squareness.  So the m-sieve is built once
+    per parity vector, for the least part r0 of it (the product of the p
+    with e_p odd) and so up to the largest m any of its parts needs, and
+    each part takes the m <= isqrt(bound // r) of it.  The ramified clause
+    reads r only through its signature, one pair (e_p mod 2, e_p >
+    cutoff_p) per ramified p (False where no cutoff is recorded): the
+    squareclasses above and whether e_p > cutoff_p.  So it is asked once
+    per signature, on the first genus-represented part that has it, and
+    its verdict, or its raise, is the signature's, coming at the same
+    first part as when every part is asked.  `genus` stays per part,
+    since local representability reads more than the signature."""
     ram = rec.ramified_primes()
     parts = [(1, ())]
     for p in ram:
@@ -190,14 +198,8 @@ def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
                 r *= p
                 e += 1
         parts = powers
-    root = math.isqrt(bound)
-    sieve = np.arange(root + 1) > 1
-    for q in range(2, math.isqrt(root) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    primes = np.flatnonzero(sieve)
     out = np.zeros(bound + 1, dtype=bool)
-    verdicts = {}
+    verdicts, sieves = {}, {}
     for r, sig in parts:
         if not genus[r]:
             continue
@@ -205,12 +207,17 @@ def exceptional_general_mask(rec, bound: int, genus: np.ndarray) -> np.ndarray:
             verdicts[sig] = _ramified_clause(rec, r)
         if not verdicts[sig]:
             continue
-        mmax = math.isqrt(bound // r)
-        keep = np.arange(mmax + 1) > 0
-        for q in primes[primes <= mmax].tolist():
-            if q in ram or not is_padic_square(q, -r * rec.delta):
-                keep[q::q] = False
-        out[r * np.flatnonzero(keep) ** 2] = True
+        parity = tuple(odd for odd, _ in sig)
+        if parity not in sieves:
+            r0 = math.prod(p for p, odd in zip(ram, parity) if odd)
+            keep = np.arange(math.isqrt(bound // r0) + 1) > 0
+            for q in _primes(keep.size - 1):
+                if q in ram or not is_padic_square(q, -r0 * rec.delta):
+                    keep[q::q] = False
+            sieves[parity] = np.flatnonzero(keep)
+        ms = sieves[parity]
+        ms = ms[: np.searchsorted(ms, math.isqrt(bound // r), side="right")]
+        out[r * ms * ms] = True
     return out
 
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinor_ternary.arith import (
+    _key_pairing,
+    _sq_class_key,
     factor,
     hilbert,
     in_local_norm_group,
@@ -18,6 +20,8 @@ from spinor_ternary.arith import (
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
+# every prime that mt_mask and the m-sieve ask about to a bound of 4e4
+PRIMES_200 = tuple(p for p in range(200) if is_prime(p))
 
 nonzero = st.integers(-10**6, 10**6).filter(lambda x: x != 0)
 prime_st = st.sampled_from(PRIMES)
@@ -197,6 +201,27 @@ class TestPadicSquare:
                 mod = p ** (ord_p(p, m) + 3)
                 solvable = any(x * x % mod == m % mod for x in range(mod))
                 assert is_padic_square(p, m) == solvable, (p, m)
+
+
+class TestSquareclassShortcuts:
+    """is_padic_square answers a unit at an odd prime by Euler's criterion,
+    and the ramified clause pairs keys it reads once: each must equal the
+    key it stands for."""
+
+    def test_euler_criterion_matches_key(self):
+        for p in PRIMES_200:
+            for m in range(-2000, 2001):
+                if m:
+                    assert is_padic_square(p, m) == (_sq_class_key(p, m) == (0, 1)), (p, m)
+
+    def test_key_pairing_matches_hilbert(self):
+        nums = [m for m in range(-24, 25) if m]
+        for p in PRIMES_200:
+            keys = {m: _sq_class_key(p, m) for m in nums}
+            for a in nums:
+                for b in nums:
+                    want = hilbert_reference(p, a, b)
+                    assert _key_pairing(p, keys[a], keys[b]) == hilbert(p, a, b) == want, (p, a, b)
 
 
 class TestHilbert:

@@ -2,6 +2,7 @@
 bulk verification masks behind the verify subcommand."""
 
 import hashlib
+import math
 import multiprocessing
 import os
 import re
@@ -162,6 +163,26 @@ class TestMasks:
             assert not mask[~cand].any(), rec.rid
             for n in np.flatnonzero(cand).tolist():
                 assert mask[n] == spinor_exceptional_general(rec, n), (rec.rid, n)
+
+    def test_criterion_mask_sieves_each_parity_past_its_first_part(self, catalog, monkeypatch):
+        # with no odd cutoff reached, and every ramified part taken as
+        # genus-represented but the squarefree ones, the least of each
+        # parity vector, a part comes before a smaller one of its parity
+        # (9 before 4 on B4, 49 before 4 on C1); each part must still get
+        # the m-sieve up to its own isqrt(bound // r)
+        monkeypatch.setattr(catalog_module, "_ODD_CUTOFFS", dict.fromkeys(catalog_module._ODD_CUTOFFS, 99))
+        bound = 10000
+        for rec in catalog.records:
+            ram = rec.ramified_primes()
+            gen = np.zeros(bound + 1, dtype=bool)
+            for r in ramified_parts(ram, bound):
+                gen[r] = any(ord_p(p, r) > 1 for p in ram)
+            mask = exceptional_general_mask(rec, bound, gen)
+            for n in range(1, bound + 1):
+                r = math.prod(p ** ord_p(p, n) for p in ram)
+                m = math.isqrt(n // r)
+                want = m * m == n // r and gen[r] and spinor_exceptional_general(rec, n)
+                assert mask[n] == want, (rec.rid, n)
 
     def test_criterion_once_per_ramified_part(self, catalog, clause_calls):
         # the ramified clause reads a ramified part r only through its
@@ -744,7 +765,7 @@ class TestReportCommand:
         rows = cli_verify._row_formatter(
             range(lo, lo + len(codes)), details, range(40), range(-40, 40), range(-40, 40)
         )
-        assert rows(lo, codes, x, y, z) == "".join(want)
+        assert rows(lo, codes, wit, x, y, z) == "".join(want)
 
     def test_rows_match_pointwise_classify(self, capsys, catalog, tmp_path):
         # classify decides one n at a time (locally_represented,

@@ -398,6 +398,24 @@ class TestRepresentedMask:
                 assert_mask_matches_keyed_scan(form, bound)
         assert_mask_matches_keyed_scan(MANY_CLASSES, bound)
 
+    @pytest.mark.parametrize("bound, width", ((30, np.int32), (31, np.int64)))
+    def test_each_side_of_the_int32_switch(self, monkeypatch, bound, width):
+        # (y + 2^12 z)^2 + 2 x^2 + z^2 + x y + x z: y is isolated with two
+        # classes, and the chunks' bound on every value passes 2^31 - 1
+        # between the bounds 30 and 31
+        form = TernaryForm(2, 1, 2**24 + 1, 2**13, 2**12 + 1, 1)
+        widths = []
+        chunks = forms_core._chunks
+
+        def spy(b, c, d, box, dtype):
+            widths.append(dtype)
+            return chunks(b, c, d, box, dtype)
+
+        monkeypatch.setattr(forms_core, "_chunks", spy)
+        assert isolated_variable(form, bound) == ("y", 2)
+        assert_mask_matches_keyed_scan(form, bound)
+        assert widths == [width]
+
     def test_only_zero_reaches_the_bound(self):
         # every a_i is past the bound, so the isolated variable is 0 on the
         # box and its class count is 1, not 2a = 2^41

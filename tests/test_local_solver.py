@@ -422,6 +422,21 @@ class TestBulkMask:
                 k *= p * p
             assert np.array_equal(local_mask(form, p, bound), want), (form, p)
 
+    @pytest.mark.parametrize("rid, p, size, bounds", (
+        ("C1", 2, 8, (7, 8, 9, 19)),
+        ("B3", 3, 2187, (2186, 2187, 2188, 4377)),
+        # a table longer than any bound here: nothing is copied
+        ("A12", 2, 524288, (1, 4377)),
+    ))
+    def test_table_length_boundaries_match_pointwise(self, catalog, rid, p, size, bounds):
+        # one table length short of, at and past the bound, and past two
+        # lengths: the tiling copies nothing, a whole table, or a part
+        form = catalog.lookup(rid).sgi_forms[0]
+        assert _class_tree(form, p)[1].size == size
+        want = [False] + [locally_represented(form, p, n) for n in range(1, max(bounds) + 1)]
+        for bound in bounds:
+            assert local_mask(form, p, bound).tolist() == want[: bound + 1], (rid, p, bound)
+
     def test_unramified_mask_is_all_true(self):
         mask = local_mask(A1, 5, 50)
         assert not mask[0] and mask[1:].all()

@@ -6,13 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mt_congruence import congruence_Mt
 
-from spinor_ternary.arith import normgroup_is_closed
+from spinor_ternary.arith import hilbert, is_padic_square, normgroup_is_closed, ord_p
 from spinor_ternary.catalog import LocalData, LocalSplitting
 from spinor_ternary.forms_core import enumerate_represented, represented_mask
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
     LOCALLY_EXCLUDED,
     REPRESENTED,
+    _ramified_clause,
     classify,
     in_Mt,
     spinor_exceptional_general,
@@ -135,6 +136,33 @@ class TestGeneralCriterion:
                 assert spinor_exceptional_general(rec, n) == (
                     squareclass_match(rec.exceptional_spec, n) is not None
                 ), (rid, n)
+
+    def test_ramified_clause_matches_hilbert_symbols(self, catalog):
+        # the clause reads -n*delta's key once per ramified prime; asked
+        # through hilbert and is_padic_square instead, as its docstring
+        # states it, it must give the same verdicts and the same raises
+        def reference(rec, n):
+            nd = n * rec.delta
+            for p in rec.ramified_primes():
+                data = rec.local_data[p]
+                if any(hilbert(p, gen, -nd) != 1 for gen in data.theta):
+                    return False
+                if is_padic_square(p, -nd):
+                    continue
+                if data.cutoff is None:
+                    return None
+                if ord_p(p, n) > data.cutoff:
+                    return False
+            return True
+
+        for rec in catalog.records:
+            for n in range(1, 800):
+                want = reference(rec, n)
+                if want is None:
+                    with pytest.raises(ValueError, match="no order cutoff"):
+                        _ramified_clause(rec, n)
+                else:
+                    assert _ramified_clause(rec, n) == want, (rec.rid, n)
 
 
 class TestSpinorRegular:
