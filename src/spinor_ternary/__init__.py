@@ -6,7 +6,6 @@ to check the closed-form answers three independent ways.
 from .arith import (
     factor,
     hilbert,
-    in_local_norm_group,
     is_padic_square,
     legendre,
     ord_p,
@@ -15,7 +14,6 @@ from .catalog import (
     CatalogError,
     CatalogFile,
     GenusRecord,
-    LocalSplitting,
     load_catalog,
     load_default_catalog,
 )

@@ -21,7 +21,6 @@ __all__ = [
     "is_padic_square",
     "normgroup_is_closed",
     "hilbert",
-    "in_local_norm_group",
     "is_prime",
 ]
 
@@ -200,12 +199,6 @@ def _key_pairing(p: int, key_a, key_b) -> int:
     else:
         e = alpha * beta * (p - 1) // 2 + beta * (u < 0) + alpha * (v < 0)
     return -1 if e % 2 else 1
-
-
-def in_local_norm_group(p: int, gamma: int, n_delta: int) -> bool:
-    """True iff gamma is a local norm from Q_p(sqrt(-n_delta)),
-    i.e. (gamma, -n_delta)_p = +1."""
-    return hilbert(p, gamma, -n_delta) == 1
 
 
 def sqrt_mod_p(a: int, p: int) -> int | None:

@@ -1,8 +1,8 @@
 """Catalog of the 29 genera split into two spinor genera, with per-prime
-local data (spinor norm group, order cutoffs, the Jordan splitting at odd
-primes) and the closed-form exceptional squareclasses.  `LocalData.cutoff`
-gives the spinor criterion's order cutoff: lambda at 2, the splitting's
-exponents at odd p.
+local data (spinor norm group and order cutoff) and the closed-form
+exceptional squareclasses.  `LocalData.cutoff` is the spinor criterion's
+order cutoff: lambda at 2, and at an odd p one derived at load from the
+forms' elementary divisor orders, the exponents of their Jordan splitting.
 
 The on-disk format is line-oriented text: a `version 1` header, then
 blank-line-separated records of `id`/`delta`/`sgi`/`sgii`/`local`/
@@ -19,14 +19,13 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arith import is_padic_square, normgroup_is_closed
+from .arith import normgroup_is_closed
 from .forms_core import TernaryForm, is_positive_definite
 from .local_solver import elementary_orders
 from .spinor_theory import in_Mt
 
 __all__ = [
     "CatalogError",
-    "LocalSplitting",
     "LocalData",
     "GenusRecord",
     "CatalogFile",
@@ -37,7 +36,8 @@ __all__ = [
 ]
 
 _EXC_TOKEN = re.compile(r"^(\d*)M(\d+)$")
-# order cutoff at an odd ramified prime, by the splitting's exponent triple;
+# order cutoff at an odd ramified prime, by M_F's elementary divisor orders
+# there (the Jordan splitting's exponents, since 2 is a unit at odd p);
 # only B3 at p = 3 has (0, 1, 3), and no verdict depends on its 2: with 1,
 # `verify all --bound 200000` prints the same bytes
 _ODD_CUTOFFS = {(0, 1, 2): 1, (0, 2, 3): 1, (0, 1, 3): 2}
@@ -50,41 +50,13 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
-class LocalSplitting:
-    """Jordan splitting of L_p at an odd prime p: the diagonal components
-    <unit * p^exponent>, as (unit, exponent) pairs."""
-
-    p: int
-    components: tuple[tuple[int, int], ...]
-
-    def exponents(self) -> list[int]:
-        return [k for _, k in self.components]
-
-    def to_form(self) -> TernaryForm:
-        """The diagonal ternary form whose values are exactly the
-        splitting's."""
-        if len(self.components) != 3:
-            raise ValueError(f"splitting is not ternary: {self.components}")
-        a, b, c = (u * self.p**k for u, k in self.components)
-        return TernaryForm(a, b, c, 0, 0, 0)
-
-
-@dataclass(frozen=True)
 class LocalData:
     """What the catalog knows about one ramified prime of a record: theta,
-    and the order cutoff's source, which is lambda at 2 and the Jordan
-    splitting at an odd prime.  `splitting` is None on the p = 2 line."""
+    and the spinor criterion's order cutoff, which is lambda at 2 (None in
+    group C) and, at an odd prime, derived at load from the forms."""
 
-    splitting: LocalSplitting | None
     theta: tuple[int, ...]
-    lam: int | None = None          # order cutoff at 2; groups A and B only
-
-    @property
-    def cutoff(self) -> int | None:
-        """The spinor criterion's order cutoff, or None if none is tabulated."""
-        if self.splitting is None:
-            return self.lam
-        return _ODD_CUTOFFS.get(tuple(self.splitting.exponents()))
+    cutoff: int | None = None
 
 
 @dataclass(frozen=True)
@@ -137,27 +109,11 @@ def _parse_form(text: str, where: str) -> TernaryForm:
         raise CatalogError(f"{where}: {exc}") from None
 
 
-def _parse_splitting(p: int, text: str, where: str) -> LocalSplitting:
-    comps = []
-    for tok in text.split(","):
-        # a token without ":" leaves exp empty, which int() rejects too
-        unit, _, exp = tok.partition(":")
-        try:
-            comps.append((int(unit), int(exp)))
-        except ValueError:
-            raise CatalogError(f"{where}: bad splitting token {tok!r}") from None
-        # a negative exponent makes the Gram determinant a fraction
-        if comps[-1][1] < 0:
-            raise CatalogError(f"{where}: bad splitting token {tok!r}")
-    return LocalSplitting(p, tuple(comps))
-
-
 def _parse_local(rest: str, where: str) -> tuple[int, LocalData]:
     toks = rest.split()
     if not toks:
         raise CatalogError(f"{where}: empty local line")
     p = _parse_int(toks[0], "prime", where)
-    splitting = None
     theta = None
     lam = None
     seen = set()
@@ -168,22 +124,21 @@ def _parse_local(rest: str, where: str) -> tuple[int, LocalData]:
         if key in seen:
             raise CatalogError(f"{where}: duplicate {key} on the p={p} local line")
         seen.add(key)
-        if key == "splitting":
-            splitting = _parse_splitting(p, val, where)
-        elif key == "theta":
+        if key == "theta":
             if not (val.startswith("{") and val.endswith("}")):
                 raise CatalogError(f"{where}: theta wants {{..}}, got {val!r}")
             theta = tuple(_parse_int(x, "theta", where) for x in val[1:-1].split(","))
             if 0 in theta:
                 raise CatalogError(f"{where}: bad theta '0'")
         elif key == "lambda":
+            if p != 2:
+                raise CatalogError(f"{where}, p={p}: lambda only belongs on the p=2 line")
             lam = _parse_int(val, "lambda", where)
         else:
             raise CatalogError(f"{where}: unknown token {tok!r}")
-    if theta is None or splitting is None and p != 2:
-        wants = "theta=" if p == 2 else "splitting= and theta="
-        raise CatalogError(f"{where}: local line needs {wants}")
-    return p, LocalData(splitting, theta, lam)
+    if theta is None:
+        raise CatalogError(f"{where}: local line needs theta=")
+    return p, LocalData(theta, lam)
 
 
 def _parse_exceptional(rest: str, where: str) -> tuple[tuple[int, int], ...]:
@@ -263,48 +218,30 @@ def loads(text: str) -> CatalogFile:
 
 # ------------------------------------------------------------- validation
 
-def _validate_local(rec: GenusRecord, p: int, data: LocalData) -> None:
+def _validate_local(rec: GenusRecord, p: int, data: LocalData) -> LocalData:
+    """Check one local line against the record's forms, and return it with
+    its order cutoff, which an odd p takes from the forms."""
     where = f"record {rec.rid}, p={p}"
-    s = data.splitting
-    if p == 2:
-        if s is not None:
-            raise CatalogError(f"{where}: splitting only belongs on an odd-p line")
-        # the forms of one genus are Z_2-isometric, so they share M_F's
-        # elementary divisors; the first form stands for the genus
-        want = elementary_orders(rec.sgi_forms[0], 2)
-        other = f"{rec.sgi_forms[0]} has"
-    else:
-        if len(s.components) != 3:
-            raise CatalogError(f"{where}: splitting dimension {len(s.components)} != 3")
-        want = s.exponents()
-        if want != sorted(want):
-            raise CatalogError(f"{where}: splitting exponents not nondecreasing")
-        for unit, _ in s.components:
-            if unit % p == 0:
-                raise CatalogError(f"{where}: non-unit diagonal {unit}")
-        # every form has determinant 2*delta (checked before this)
-        if not is_padic_square(p, s.to_form().gram_det() * rec.sgi_forms[0].gram_det()):
-            raise CatalogError(f"{where}: splitting determinant in the wrong squareclass")
-        # M_F is twice the Gram matrix and 2 is a unit at odd p, so M_F's
-        # elementary divisor orders are the splitting's exponents
-        other = "splitting exponents"
     if 1 not in data.theta or not normgroup_is_closed(p, data.theta):
         raise CatalogError(f"{where}: theta not a group modulo squares")
+    # the forms of one genus are Z_p-isometric, so they share M_F's
+    # elementary divisors; the first form stands for the genus
+    first = rec.sgi_forms[0]
+    want = elementary_orders(first, p)
     if p == 2:
-        wants_lam = rec.group in ("A", "B")
-        if wants_lam != (data.lam is not None):
+        if (rec.group in ("A", "B")) != (data.cutoff is not None):
             raise CatalogError(f"{where}: lambda presence wrong for group {rec.group}")
-        if data.lam is not None and data.lam < 1:
+        if data.cutoff is not None and data.cutoff < 1:
             raise CatalogError(f"{where}: lambda must be >= 1")
     else:
-        if data.lam is not None:
-            raise CatalogError(f"{where}: lambda only belongs on the p=2 line")
+        data = LocalData(data.theta, _ODD_CUTOFFS.get(tuple(want)))
         if data.cutoff is None:
-            raise CatalogError(f"{where}: splitting shape {want} has no order bound")
-    for form in rec.all_forms():
+            raise CatalogError(f"{where}: {first} has elementary divisor orders {want}, with no order cutoff")
+    for form in rec.all_forms()[1:]:
         orders = elementary_orders(form, p)
         if orders != want:
-            raise CatalogError(f"{where}: {form} has elementary divisor orders {orders}, {other} {want}")
+            raise CatalogError(f"{where}: {form} has elementary divisor orders {orders}, {first} has {want}")
+    return data
 
 
 def _validate(catalog: CatalogFile) -> None:
@@ -342,8 +279,10 @@ def _validate(catalog: CatalogFile) -> None:
                 f"record {rec.rid}: local data for {sorted(rec.local_data)}, "
                 f"ramified primes are {sorted(ram)}"
             )
-        for p, data in rec.local_data.items():
-            _validate_local(rec, p, data)
+        # an odd-p cutoff is read off the forms, so it is set only here,
+        # once they have passed the checks above
+        for p in rec.ramified_primes():
+            rec.local_data[p] = _validate_local(rec, p, rec.local_data[p])
         for s, t in rec.exceptional_spec:
             if t not in (1, 2, 3, 7):
                 raise CatalogError(f"record {rec.rid}: squareclass with t={t}")
@@ -378,12 +317,9 @@ def dumps(catalog: CatalogFile) -> str:
             out.append("sgii " + ",".join(str(c) for c in form.coeffs()))
         for p in rec.ramified_primes():
             data = rec.local_data[p]
-            line = f"local {p}"
-            if data.splitting is not None:
-                line += " splitting=" + ",".join(f"{u}:{k}" for u, k in data.splitting.components)
-            line += " theta={" + ",".join(str(g) for g in data.theta) + "}"
-            if data.lam is not None:
-                line += f" lambda={data.lam}"
+            line = f"local {p} theta={{" + ",".join(str(g) for g in data.theta) + "}"
+            if p == 2 and data.cutoff is not None:
+                line += f" lambda={data.cutoff}"
             out.append(line)
         out.append(
             "exceptional " + " ".join(_exc_token(s, t) for s, t in rec.exceptional_spec)

@@ -83,7 +83,7 @@ def _check_prime(p: int) -> None:
 def unramified_shortcut(form: TernaryForm, p: int) -> bool:
     """True iff p does not divide det(M_F) = 2*disc; such primes represent
     every n.  Definiteness is irrelevant over Z_p, so nondegenerate
-    indefinite forms (e.g. built from a Jordan splitting) are accepted."""
+    indefinite forms are accepted."""
     return form.gram_det() % p != 0
 
 
@@ -135,7 +135,8 @@ def lemma73_excluded(n):
 def elementary_orders(form: TernaryForm, p: int) -> list[int]:
     """[e1, e2, e3]: the p-orders of M_F's elementary divisors, read off the
     gcd of its entries, the gcd of its 2x2 minors (the adjugate's entries)
-    and det(M_F)."""
+    and det(M_F).  At an odd p they are the exponents of a Jordan splitting
+    of the form, and the catalog reads its odd-p order cutoff off them."""
     det = form.gram_det()
     if det == 0:
         raise ValueError(f"degenerate form: {form}")

@@ -123,8 +123,9 @@ def spinor_exceptional_general(record, n: int) -> bool:
       square wherever that order is positive;
     - at ramified primes: the whole spinor norm group inside the local
       norm group of -n*delta, and, when -n*delta is not a local square,
-      the order of n within the tabulated cutoff (lambda at 2, the
-      splitting-shape bound at odd primes).
+      the order of n within the recorded cutoff (lambda at 2, and at odd
+      primes the one the catalog derives from the forms' elementary
+      divisor orders).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -11,7 +11,6 @@ from spinor_ternary.arith import (
     _sq_class_key,
     factor,
     hilbert,
-    in_local_norm_group,
     is_padic_square,
     is_prime,
     legendre,
@@ -230,12 +229,23 @@ class TestHilbert:
         assert hilbert(2, -1, -1) == -1
         assert hilbert(3, 1, 7) == 1
         assert hilbert(2, 1, -5) == 1
+        # 5 is no norm from Q_2(sqrt(-2)) or Q_2(sqrt(-8)); 1 is one from
+        # Q_3(sqrt(-3))
+        assert hilbert(2, 5, -8) == -1
+        assert hilbert(3, 1, -3) == 1
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             hilbert(3, 0, 5)
         with pytest.raises(ValueError):
             hilbert(3, 5, 0)
+        with pytest.raises(ValueError):
+            hilbert(2, 0, -3)
+
+    @given(prime_st, nonzero)
+    def test_squares_pair_to_one(self, p, b):
+        # a square is a norm from every quadratic extension
+        assert hilbert(p, 1, b) == hilbert(p, 4, b) == 1
 
     @given(prime_st, nonzero, nonzero)
     def test_symmetric(self, p, a, b):
@@ -302,27 +312,3 @@ def hilbert_reference(p, a, b):
     if alpha % 2:
         sign *= legendre(v, p)
     return sign
-
-
-class TestLocalNormGroup:
-    def test_known_values(self):
-        assert not in_local_norm_group(2, 5, 2)
-        assert not in_local_norm_group(2, 5, 8)
-        assert in_local_norm_group(3, 1, 3)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            in_local_norm_group(2, 0, 3)
-        with pytest.raises(ValueError):
-            in_local_norm_group(2, 3, 0)
-
-    @given(prime_st, nonzero, nonzero, nonzero)
-    def test_group_closure(self, p, g1, g2, nd):
-        # norms form a group: membership of two elements forces the product
-        if in_local_norm_group(p, g1, nd) and in_local_norm_group(p, g2, nd):
-            assert in_local_norm_group(p, g1 * g2, nd)
-
-    @given(prime_st, nonzero)
-    def test_squares_are_norms(self, p, nd):
-        assert in_local_norm_group(p, 1, nd)
-        assert in_local_norm_group(p, 4, nd)

@@ -9,6 +9,7 @@ import pytest
 
 from spinor_ternary.arith import ord_p
 from spinor_ternary.catalog import (
+    _ODD_CUTOFFS,
     CatalogError,
     dumps,
     load_catalog,
@@ -16,7 +17,7 @@ from spinor_ternary.catalog import (
     loads,
 )
 from spinor_ternary.forms_core import TernaryForm
-from spinor_ternary.local_solver import local_mask, locally_represented
+from spinor_ternary.local_solver import local_mask
 
 # (2^61 - 1)(2^89 - 1), both Mersenne primes
 _SEMIPRIME = (2**61 - 1) * (2**89 - 1)
@@ -34,30 +35,26 @@ def odd_cross(form: TernaryForm) -> bool:
     return any(x % 2 for x in form.coeffs()[3:])
 
 
+def divisor_orders(form: TernaryForm, p: int) -> list[int]:
+    """The p-orders of the elementary divisors of M_F, from the gcd of its
+    entries, the gcd of its 2x2 minors (the adjugate's entries) and
+    det(M_F): the tests' own copy of `local_solver.elementary_orders`."""
+    g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
+    g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
+    return [g1, g2 - g1, ord_p(p, form.gram_det()) - g2]
+
+
 def exponent_mismatches(catalog) -> list[tuple[str, int, TernaryForm, list[int]]]:
-    """Every (record, p, form, orders) where the p-orders of the elementary
-    divisors of M_F differ from what the record says of them.  The orders
-    come from the gcd of M_F's entries, the gcd of its 2x2 minors (the
-    adjugate's entries) and det(M_F).  At odd p, M_F is twice the Gram
-    matrix and 2 is a unit, so they must be the splitting's exponents; the
-    `local 2` line has no splitting, and the forms of one genus are
-    Z_2-isometric, so at p = 2 they must be the first form's orders."""
-
-    def orders(form, p):
-        g1 = ord_p(p, math.gcd(*(x for row in form.gram_doubled() for x in row)))
-        g2 = ord_p(p, math.gcd(*(x for row in form.gram_adjugate() for x in row)))
-        return [g1, g2 - g1, ord_p(p, form.gram_det()) - g2]
-
+    """Every (record, p, form, orders) where a form's elementary divisor
+    orders at a ramified p differ from the first form's.  The forms of one
+    genus are Z_p-isometric, so at every p they must agree."""
     out = []
     for rec in catalog.records:
-        for p, data in rec.local_data.items():
-            if p == 2:
-                want = orders(rec.sgi_forms[0], 2)
-            else:
-                want = [k for _, k in data.splitting.components]
+        for p in rec.ramified_primes():
+            want = divisor_orders(rec.sgi_forms[0], p)
             for form in rec.all_forms():
-                if orders(form, p) != want:
-                    out.append((rec.rid, p, form, orders(form, p)))
+                if divisor_orders(form, p) != want:
+                    out.append((rec.rid, p, form, divisor_orders(form, p)))
     return out
 
 
@@ -76,8 +73,7 @@ class TestShape:
         assert rec.sgii_forms == (TernaryForm(1, 1, 16, 0, 0, 0),)
         assert rec.ramified_primes() == (2,)
         data = rec.local_data[2]
-        assert data.splitting is None
-        assert data.lam == 1
+        assert data.cutoff == 1
         assert data.theta == (1, 2, 5, 10)
 
     def test_a12_class_counts(self, catalog):
@@ -100,7 +96,7 @@ class TestShape:
 
     def test_lambda_presence_by_group(self, catalog):
         for rec in catalog.records:
-            lam = rec.local_data[2].lam
+            lam = rec.local_data[2].cutoff
             if rec.group in ("A", "B"):
                 assert lam is not None and lam >= 1, rec.rid
             else:
@@ -155,15 +151,6 @@ class TestParsing:
         with pytest.raises(CatalogError, match="6 coefficients"):
             loads(doctored(catalog, "sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2"))
 
-    def test_bad_splitting_token(self, catalog):
-        with pytest.raises(CatalogError, match="splitting token"):
-            loads(doctored(catalog, "splitting=1:0,1:1,1:2", "splitting=1:0,x,1:2"))
-
-    @pytest.mark.parametrize("token", ("H:", "A:x", "q:1", "1:", "1:0:0"))
-    def test_bad_splitting_token_parts(self, catalog, token):
-        with pytest.raises(CatalogError, match=f"bad splitting token '{token}'"):
-            loads(doctored(catalog, "splitting=1:0,1:1,1:2", f"splitting=1:0,{token},1:2"))
-
     def test_bad_squareclass_token(self, catalog):
         with pytest.raises(CatalogError, match="squareclass token"):
             loads(doctored(catalog, "exceptional M1\n", "exceptional Q1\n"))
@@ -209,10 +196,6 @@ class TestValidation:
         with pytest.raises(CatalogError, match="lambda"):
             loads(doctored(catalog, " lambda=1\n", "\n"))
 
-    def test_non_unit_diagonal(self, catalog):
-        with pytest.raises(CatalogError, match="non-unit"):
-            loads(doctored(catalog, "splitting=1:0,1:1,1:2", "splitting=3:0,1:1,1:2"))
-
     def test_unknown_subcase(self, catalog):
         # subcase is no key of a local line, so any label is an unknown token
         with pytest.raises(CatalogError, match=r"unknown token 'subcase=\(z\)\(ix\)'"):
@@ -223,96 +206,95 @@ class TestRejectedText:
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            ("sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2,x",
-             "record A1: invalid literal for int() with base 10: 'x'"),
-            ("local 2 theta={1,2,5,10} lambda=1", "local", "record A1: empty local line"),
-            ("theta={1,2,5,10}", "theta=1,2,5,10",
-             "record A1: theta wants {..}, got '1,2,5,10'"),
-            (" theta={1,2,5,10}", "", "record A1: local line needs theta="),
-            ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 theta={1,3}",
-             "record B1: local line needs splitting= and theta="),
-            # the 2-adic splitting is read by no route and is no key of the
-            # p = 2 line
-            ("local 2 theta={1,2,5,10} lambda=1", "local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1",
-             "record A1, p=2: splitting only belongs on an odd-p line"),
-            ("exceptional M1\n", "exceptional\n", "record A1: empty exceptional line"),
-            ("id A1\ndelta 64", "delta 64\nid A1", "line 3: record must start with an id line"),
-            # a second line for a prime is refused before its tokens are
-            # checked, even one that would be refused on its own
-            (" lambda=1\n", " lambda=1\nlocal 2 splitting=1:0 theta={1}\n",
-             "record A1: duplicate local line for p=2"),
-            ("delta 64\n", "delta 64\ngamma 1\n", "line 5: unknown key 'gamma'"),
-            ("delta 64\n", "", "record A1: missing delta or exceptional line"),
-            (None, "# only comments\n", "missing version header"),
-            ("splitting=1:0,1:1,1:2", "splitting=1:0,1:1",
-             "record B1, p=3: splitting dimension 2 != 3"),
-            ("splitting=1:0,1:1,1:2", "splitting=1:0,1:2,1:1",
-             "record B1, p=3: splitting exponents not nondecreasing"),
-            # a splitting token is u:k with two integers; H and A are none
-            ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=H:0,1:2",
-             "record B1: bad splitting token 'H:0'"),
+            pytest.param("sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2,x",
+                         "record A1: invalid literal for int() with base 10: 'x'", id="form-literal"),
+            pytest.param("local 2 theta={1,2,5,10} lambda=1", "local", "record A1: empty local line",
+                         id="empty-local"),
+            pytest.param("theta={1,2,5,10}", "theta=1,2,5,10",
+                         "record A1: theta wants {..}, got '1,2,5,10'", id="theta-braces"),
+            pytest.param(" theta={1,2,5,10}", "", "record A1: local line needs theta=", id="no-theta-2"),
+            pytest.param("local 3 theta={1,3}", "local 3", "record B1: local line needs theta=",
+                         id="no-theta-3"),
+            # the Jordan splitting is derived from the forms, so it is no
+            # key of any local line
+            pytest.param("local 2 theta={1,2,5,10} lambda=1",
+                         "local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1",
+                         "record A1: unknown token 'splitting=1:0,1:0,1:4'", id="splitting-2"),
+            pytest.param("local 3 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3}",
+                         "record B1: unknown token 'splitting=1:0,1:1,1:2'", id="splitting-3"),
+            pytest.param("exceptional M1\n", "exceptional\n", "record A1: empty exceptional line",
+                         id="empty-exceptional"),
+            pytest.param("id A1\ndelta 64", "delta 64\nid A1", "line 3: record must start with an id line",
+                         id="id-not-first"),
+            # a second line for a prime is refused before the record is
+            # validated, even one that would be refused on its own (group A
+            # needs lambda)
+            pytest.param(" lambda=1\n", " lambda=1\nlocal 2 theta={1}\n",
+                         "record A1: duplicate local line for p=2", id="dup-local"),
+            pytest.param("delta 64\n", "delta 64\ngamma 1\n", "line 5: unknown key 'gamma'", id="unknown-key"),
+            pytest.param("delta 64\n", "", "record A1: missing delta or exceptional line", id="no-delta"),
+            pytest.param(None, "# only comments\n", "missing version header", id="no-header"),
             # a bare token, on an odd or a 2-adic line: no route reads one
-            ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} scaled",
-             "record B1: unknown token 'scaled'"),
-            (" lambda=1\n", " lambda=1 scaled\n", "record A1: unknown token 'scaled'"),
+            pytest.param("local 3 theta={1,3}", "local 3 theta={1,3} scaled",
+                         "record B1: unknown token 'scaled'", id="bare-3"),
+            pytest.param(" lambda=1\n", " lambda=1 scaled\n", "record A1: unknown token 'scaled'", id="bare-2"),
             # the 2-adic structure label no route read
-            (" lambda=1\n", " lambda=1 subcase=(b)(iii)\n",
-             "record A1: unknown token 'subcase=(b)(iii)'"),
-            # a splitting's determinant is in the squareclass of the forms':
-            # one more 3, or a unit that is no square mod 3, moves it
-            ("splitting=1:0,1:1,1:2", "splitting=1:0,1:1,1:3",
-             "record B1, p=3: splitting determinant in the wrong squareclass"),
-            ("splitting=1:0,1:1,1:2", "splitting=1:0,2:1,1:2",
-             "record B1, p=3: splitting determinant in the wrong squareclass"),
-            (" lambda=1\n", " lambda=0\n", "record A1, p=2: lambda must be >= 1"),
-            # a negative exponent would make the Gram determinant a fraction,
-            # and legendre got a float
-            ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:-1,1:1,1:2",
-             "record B1: bad splitting token '1:-1'"),
+            pytest.param(" lambda=1\n", " lambda=1 subcase=(b)(iii)\n",
+                         "record A1: unknown token 'subcase=(b)(iii)'", id="subcase"),
+            pytest.param(" lambda=1\n", " lambda=0\n", "record A1, p=2: lambda must be >= 1", id="lambda-0"),
             # 0 is no squareclass
-            ("theta={1,2,5,10}", "theta={1,0,5,10}", "record A1: bad theta '0'"),
-            ("local 3 splitting=1:0,1:1,1:2 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3} lambda=1",
-             "record B1, p=3: lambda only belongs on the p=2 line"),
-            ("local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:0,1:0,1:3",
-             "record B1, p=3: splitting shape [0, 0, 3] has no order bound"),
-            ("id B7", "id A14", "group counts off: {'A': 14, 'B': 11, 'C': 4}"),
-            ("sgii 1,1,16,0,0,0\n", "", "record A1: both spinor genera need forms"),
+            pytest.param("theta={1,2,5,10}", "theta={1,0,5,10}", "record A1: bad theta '0'", id="theta-0"),
+            pytest.param("local 3 theta={1,3}", "local 3 theta={1,3} lambda=1",
+                         "record B1, p=3: lambda only belongs on the p=2 line", id="lambda-3"),
+            # a reduced form of B1's determinant and 2-adic orders whose
+            # orders at 3 key no cutoff; it stands for the genus, so the
+            # shape is refused before the other form is compared
+            pytest.param("sgi 3,3,4,0,0,3", "sgi 2,2,7,1,1,0",
+                         "record B1, p=3: (2,2,7,1,1,0) has elementary divisor orders [0, 0, 3], "
+                         "with no order cutoff", id="shape-3"),
+            pytest.param("id B7", "id A14", "group counts off: {'A': 14, 'B': 11, 'C': 4}", id="group-counts"),
+            pytest.param("sgii 1,1,16,0,0,0\n", "", "record A1: both spinor genera need forms", id="no-sgii"),
             # same determinant, reduced, but outside A1's genus at 2
-            ("sgii 1,1,16,0,0,0", "sgii 1,2,8,0,0,0",
-             "record A1, p=2: (1,2,8,0,0,0) has elementary divisor orders [1, 2, 4], "
-             "(2,2,5,2,2,0) has [1, 1, 5]"),
-            ("sgi 2,2,5,2,2,0", "sgi -2,2,5,2,2,0",
-             f"record A1: {TernaryForm(-2, 2, 5, 2, 2, 0)} not positive definite"),
+            pytest.param("sgii 1,1,16,0,0,0", "sgii 1,2,8,0,0,0",
+                         "record A1, p=2: (1,2,8,0,0,0) has elementary divisor orders [1, 2, 4], "
+                         "(2,2,5,2,2,0) has [1, 1, 5]", id="genus-2"),
+            pytest.param("sgi 2,2,5,2,2,0", "sgi -2,2,5,2,2,0",
+                         f"record A1: {TernaryForm(-2, 2, 5, 2, 2, 0)} not positive definite", id="indefinite"),
             # A1's first form under x -> x + 40y: same determinant and
             # definiteness, but a scan box that grows with the skew
-            ("sgi 2,2,5,2,2,0", "sgi 2,3202,5,82,2,160",
-             f"record A1: {TernaryForm(2, 3202, 5, 82, 2, 160)} is not reduced"),
-            ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0", "delta 68\nsgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
-             "record A1: delta has large prime factors"),
+            pytest.param("sgi 2,2,5,2,2,0", "sgi 2,3202,5,82,2,160",
+                         f"record A1: {TernaryForm(2, 3202, 5, 82, 2, 160)} is not reduced", id="skewed"),
+            pytest.param("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
+                         "delta 68\nsgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
+                         "record A1: delta has large prime factors", id="prime-17"),
             # a product of two primes above 2^60, which factor's Pollard rho
             # would take most of an hour to split
-            ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
-             f"delta {4 * _SEMIPRIME}\nsgi 1,1,{_SEMIPRIME},0,0,0\nsgii 1,1,{_SEMIPRIME},0,0,0",
-             "record A1: delta has large prime factors"),
-            ("local 3 splitting=1:0,1:1,1:2 theta={1,3}\n", "",
-             "record B1: local data for [2], ramified primes are [2, 3]"),
-            ("exceptional M1\n", "exceptional M5\n", "record A1: squareclass with t=5"),
-            ("exceptional M1\n", "exceptional 5M1\n", "record A1: suspicious scale s=5"),
+            pytest.param("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
+                         f"delta {4 * _SEMIPRIME}\nsgi 1,1,{_SEMIPRIME},0,0,0\nsgii 1,1,{_SEMIPRIME},0,0,0",
+                         "record A1: delta has large prime factors", id="semiprime"),
+            pytest.param("local 3 theta={1,3}\n", "",
+                         "record B1: local data for [2], ramified primes are [2, 3]", id="no-local-3"),
+            pytest.param("exceptional M1\n", "exceptional M5\n", "record A1: squareclass with t=5", id="t-5"),
+            pytest.param("exceptional M1\n", "exceptional 5M1\n", "record A1: suspicious scale s=5", id="s-5"),
             # a spec entry inside another: 3 is in M_2 and 2 in M_7
-            ("exceptional M2\n", "exceptional M2 9M2\n", "record A8: squareclass 9M2 lies inside M2"),
-            ("exceptional 4M7\n", "exceptional 4M7 16M7\n", "record C4: squareclass 16M7 lies inside 4M7"),
-            ("exceptional M3\n", "exceptional M3 M3\n", "record B1: squareclass M3 lies inside M3"),
+            pytest.param("exceptional M2\n", "exceptional M2 9M2\n",
+                         "record A8: squareclass 9M2 lies inside M2", id="nested-M2"),
+            pytest.param("exceptional 4M7\n", "exceptional 4M7 16M7\n",
+                         "record C4: squareclass 16M7 lies inside 4M7", id="nested-4M7"),
+            pytest.param("exceptional M3\n", "exceptional M3 M3\n",
+                         "record B1: squareclass M3 lies inside M3", id="nested-M3"),
             # route 2 builds s * w^2 in int64
-            ("exceptional M1\n", f"exceptional {2**63}M1\n", f"record A1: suspicious scale s={2**63}"),
+            pytest.param("exceptional M1\n", f"exceptional {2**63}M1\n",
+                         f"record A1: suspicious scale s={2**63}", id="s-2^63"),
             # a line or local-line key given twice
-            ("delta 324\n", "delta 324\ndelta 324\n", "record B3: duplicate delta line"),
-            ("exceptional 3M3\n", "exceptional 3M3\nexceptional M3\n",
-             "record B3: duplicate exceptional line"),
-            ("splitting=1:0,1:1,1:2", "splitting=1:0,1:1,1:2 splitting=1:0,1:1,1:2",
-             "record B1: duplicate splitting on the p=3 local line"),
-            ("theta={1,2,5,10}", "theta={1,2,5,10} theta={1,5}",
-             "record A1: duplicate theta on the p=2 local line"),
-            (" lambda=1\n", " lambda=1 lambda=2\n", "record A1: duplicate lambda on the p=2 local line"),
+            pytest.param("delta 324\n", "delta 324\ndelta 324\n", "record B3: duplicate delta line",
+                         id="dup-delta"),
+            pytest.param("exceptional 3M3\n", "exceptional 3M3\nexceptional M3\n",
+                         "record B3: duplicate exceptional line", id="dup-exceptional"),
+            pytest.param("theta={1,2,5,10}", "theta={1,2,5,10} theta={1,5}",
+                         "record A1: duplicate theta on the p=2 local line", id="dup-theta"),
+            pytest.param(" lambda=1\n", " lambda=1 lambda=2\n",
+                         "record A1: duplicate lambda on the p=2 local line", id="dup-lambda"),
         ],
     )
     def test_message(self, catalog, old, new, message):
@@ -322,27 +304,10 @@ class TestRejectedText:
 
 
 class TestLocalDataConsistency:
-    def test_splitting_values_match_solver(self, catalog):
-        # the stored Jordan splitting at an odd prime must predict the same
-        # local representability as the actual form
-        lines = 0
-        for rec in catalog.records:
-            form = rec.sgi_forms[0]
-            for p, data in rec.local_data.items():
-                if p == 2:
-                    continue
-                lines += 1
-                split_form = data.splitting.to_form()
-                for n in range(1, 501):
-                    assert locally_represented(form, p, n) == locally_represented(split_form, p, n), (
-                        rec.rid, p, n
-                    )
-        assert lines == 16
-
     def test_genus_mates_agree_locally(self, catalog):
         # the forms of one genus are Z_p-isometric, so every form takes the
-        # local values of the first; at p = 2 this stands in for a splitting,
-        # and it reads the class tables of the 52 forms after the first
+        # local values of the first; it reads the class tables of the 52
+        # forms after the first
         checked = 0
         for rec in catalog.records:
             for p in rec.ramified_primes():
@@ -360,22 +325,36 @@ class TestLocalDataConsistency:
         assert sum(p != 2 for p in lines) == 16
         assert exponent_mismatches(catalog) == []
 
+    def test_odd_cutoffs_derived_from_forms(self, catalog):
+        # load reads each odd-p cutoff off the first form's elementary
+        # divisor orders; every form of the record gives the same key, and
+        # the cutoffs are 2 on B3 at p = 3 and 1 on the other 15 lines
+        got = {}
+        for rec in catalog.records:
+            for p in rec.ramified_primes()[1:]:
+                keys = {tuple(divisor_orders(form, p)) for form in rec.all_forms()}
+                assert len(keys) == 1 and keys <= _ODD_CUTOFFS.keys(), (rec.rid, p, keys)
+                got[rec.rid, p] = rec.local_data[p].cutoff
+                assert got[rec.rid, p] == _ODD_CUTOFFS[keys.pop()], (rec.rid, p)
+        want = {(f"B{i}", 3): 1 for i in range(1, 13)} | {(f"C{i}", 7): 1 for i in range(1, 5)}
+        want["B3", 3] = 2
+        assert got == want
+
     @pytest.mark.parametrize(
         "rid, old, new",
         [
-            ("B1", "local 3 splitting=1:0,1:1,1:2", "local 3 splitting=1:0,1:2,1:3"),
-            ("C1", "local 7 splitting=1:0,1:1,1:2", "local 7 splitting=1:0,1:2,1:3"),
+            pytest.param("B1", "sgii 1,1,36,0,0,1", "sgii 2,2,7,1,1,0", id="B1"),
+            pytest.param("C1", "sgii 1,7,14,7,0,0", "sgii 2,3,15,1,0,1", id="C1"),
         ],
     )
-    def test_odd_exponent_edit_caught(self, catalog, rid, old, new):
-        # the edit keeps the determinant squareclass and the cutoff; only the
-        # elementary divisors tell, and loading checks them
-        p = old.split()[1]
-        with pytest.raises(
-            CatalogError,
-            match=rf"^record {rid}, p={p}: \(.*\) has elementary divisor orders "
-            r"\[0, 1, 2\], splitting exponents \[0, 2, 3\]$",
-        ):
+    def test_odd_form_edit_caught(self, catalog, rid, old, new):
+        # the new form is reduced, of the record's determinant and 2-adic
+        # orders; only its elementary divisors at the odd prime tell
+        rec = catalog.lookup(rid)
+        p = rec.ramified_primes()[1]
+        message = (f"record {rid}, p={p}: ({new[5:]}) has elementary divisor orders [0, 0, 3], "
+                   f"{rec.sgi_forms[0]} has [0, 1, 2]")
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
             loads(doctored(catalog, old, new))
 
     def test_specs_stay_in_known_semigroups(self, catalog):

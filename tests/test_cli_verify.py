@@ -1,6 +1,7 @@
 """Command line behavior: output text, exit statuses, determinism, and the
 bulk verification masks behind the verify subcommand."""
 
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -11,10 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinor_ternary import catalog as catalog_module
 from spinor_ternary import cli_verify, local_solver, spinor_theory
 from spinor_ternary.arith import ord_p
-from spinor_ternary.catalog import dumps, loads
+from spinor_ternary.catalog import LocalData, dumps, loads
 from spinor_ternary.cli_verify import main, verify_record
 from spinor_ternary.forms_core import BLOCK_BYTES, enumerate_represented, represented_mask
 from spinor_ternary.local_solver import genus_mask, genus_represents
@@ -56,6 +56,12 @@ def signature(rec, r):
         e, cutoff = ord_p(p, r), rec.local_data[p].cutoff
         out.append((e % 2, cutoff is not None and e > cutoff))
     return tuple(out)
+
+
+def with_odd_cutoffs(rec, cutoff):
+    """rec with the order cutoff at every odd ramified prime set to cutoff."""
+    local = {p: data if p == 2 else LocalData(data.theta, cutoff) for p, data in rec.local_data.items()}
+    return dataclasses.replace(rec, local_data=local)
 
 
 @pytest.fixture
@@ -164,15 +170,15 @@ class TestMasks:
             for n in np.flatnonzero(cand).tolist():
                 assert mask[n] == spinor_exceptional_general(rec, n), (rec.rid, n)
 
-    def test_criterion_mask_sieves_each_parity_past_its_first_part(self, catalog, monkeypatch):
+    def test_criterion_mask_sieves_each_parity_past_its_first_part(self, catalog):
         # with no odd cutoff reached, and every ramified part taken as
         # genus-represented but the squarefree ones, the least of each
         # parity vector, a part comes before a smaller one of its parity
         # (9 before 4 on B4, 49 before 4 on C1); each part must still get
         # the m-sieve up to its own isqrt(bound // r)
-        monkeypatch.setattr(catalog_module, "_ODD_CUTOFFS", dict.fromkeys(catalog_module._ODD_CUTOFFS, 99))
         bound = 10000
         for rec in catalog.records:
+            rec = with_odd_cutoffs(rec, 99)
             ram = rec.ramified_primes()
             gen = np.zeros(bound + 1, dtype=bool)
             for r in ramified_parts(ram, bound):
@@ -216,16 +222,16 @@ class TestMasks:
             signatures += len(first)
         assert (parts, signatures) == (1576, 169)
 
-    def test_criterion_mask_raises_where_the_parts_do(self, catalog, monkeypatch, clause_calls):
+    def test_criterion_mask_raises_where_the_parts_do(self, catalog, clause_calls):
         # with no odd cutoff tabulated, the clause raises on a part whose
         # -r*delta is not a square at an odd ramified prime; asking once per
         # signature raises the same error, on the same part, as asking each
         # genus-represented part in turn
         bound = 10000
         gens = {rec.rid: genus_mask(rec, bound) for rec in catalog.records}
-        monkeypatch.setattr(catalog_module, "_ODD_CUTOFFS", {})
         raised = 0
         for rec in catalog.records:
+            rec = with_odd_cutoffs(rec, None)
             want = None
             for r in ramified_parts(rec.ramified_primes(), bound):
                 if gens[rec.rid][r]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from spinor_ternary import load_default_catalog
 from spinor_ternary.arith import ord_p
-from spinor_ternary.catalog import LocalSplitting
+from spinor_ternary.catalog import _ODD_CUTOFFS
 from spinor_ternary.forms_core import TernaryForm, evaluate, is_positive_definite, represented_mask
 from spinor_ternary.local_solver import (
     _class_tree,
@@ -507,12 +507,13 @@ class TestSplittingForms:
                 m //= 4
             assert locally_represented(form, 2, n) == (m % 8 != 5), n
 
-    def test_dimension_and_exponents(self):
-        s = LocalSplitting(3, ((1, 0), (2, 1), (1, 3)))
-        assert s.exponents() == [0, 1, 3]
-        assert s.to_form() == TernaryForm(1, 6, 27, 0, 0, 0)
-        with pytest.raises(ValueError):
-            LocalSplitting(3, ((1, 0),)).to_form()
+    def test_jordan_exponents(self):
+        # <1> + <2*3> + <3^3> is a Jordan splitting at 3 with exponents
+        # 0, 1, 3; elementary_orders reads them off the form, and they key
+        # the catalog's cutoff of 2 (B3's shape at 3)
+        form = TernaryForm(1, 6, 27, 0, 0, 0)
+        assert elementary_orders(form, 3) == [0, 1, 3]
+        assert _ODD_CUTOFFS[tuple(elementary_orders(form, 3))] == 2
 
     def test_degenerate_form_rejected(self):
         with pytest.raises(ValueError):

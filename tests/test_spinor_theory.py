@@ -1,13 +1,15 @@
 """The M_t semigroups, squareclass specs, the general spinor-exceptional
 criterion, and the three-way classifier built on top of it."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mt_congruence import congruence_Mt
 
 from spinor_ternary.arith import hilbert, is_padic_square, normgroup_is_closed, ord_p
-from spinor_ternary.catalog import LocalData, LocalSplitting
+from spinor_ternary.catalog import LocalData
 from spinor_ternary.forms_core import enumerate_represented, represented_mask
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
@@ -104,16 +106,16 @@ class TestNormGroupClosure:
 
 
 class TestOddBound:
-    @staticmethod
-    def cutoff(exps):
-        split = LocalSplitting(3, tuple((1, e) for e in exps))
-        return LocalData(split, (1, 3)).cutoff
-
-    def test_exponent_shapes(self):
-        assert self.cutoff((0, 1, 2)) == 1
-        assert self.cutoff((0, 2, 3)) == 1
-        assert self.cutoff((0, 1, 3)) == 2
-        assert self.cutoff((0, 0, 1)) is None
+    def test_clause_reads_the_cutoff(self, catalog):
+        # n = 9 has order 2 at 3: past B1's cutoff of 1, within 2, and a
+        # record with no cutoff there raises
+        rec = catalog.lookup("B1")
+        theta = rec.local_data[3].theta
+        assert rec.local_data[3] == LocalData(theta, 1)
+        assert not _ramified_clause(rec, 9)
+        assert _ramified_clause(replace(rec, local_data={**rec.local_data, 3: LocalData(theta, 2)}), 9)
+        with pytest.raises(ValueError, match="^no order cutoff recorded for B1 at p=3$"):
+            _ramified_clause(replace(rec, local_data={**rec.local_data, 3: LocalData(theta)}), 9)
 
 
 class TestGeneralCriterion:
