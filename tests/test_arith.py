@@ -229,23 +229,12 @@ class TestHilbert:
         assert hilbert(2, -1, -1) == -1
         assert hilbert(3, 1, 7) == 1
         assert hilbert(2, 1, -5) == 1
-        # 5 is no norm from Q_2(sqrt(-2)) or Q_2(sqrt(-8)); 1 is one from
-        # Q_3(sqrt(-3))
-        assert hilbert(2, 5, -8) == -1
-        assert hilbert(3, 1, -3) == 1
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             hilbert(3, 0, 5)
         with pytest.raises(ValueError):
             hilbert(3, 5, 0)
-        with pytest.raises(ValueError):
-            hilbert(2, 0, -3)
-
-    @given(prime_st, nonzero)
-    def test_squares_pair_to_one(self, p, b):
-        # a square is a norm from every quadratic extension
-        assert hilbert(p, 1, b) == hilbert(p, 4, b) == 1
 
     @given(prime_st, nonzero, nonzero)
     def test_symmetric(self, p, a, b):
@@ -312,3 +301,33 @@ def hilbert_reference(p, a, b):
     if alpha % 2:
         sign *= legendre(v, p)
     return sign
+
+
+class TestLocalNormGroup:
+    # gamma is a norm from Q_p(sqrt(-n_delta)) exactly when
+    # hilbert(p, gamma, -n_delta) == 1
+    @staticmethod
+    def is_norm(p, gamma, n_delta):
+        return hilbert(p, gamma, -n_delta) == 1
+
+    def test_known_values(self):
+        assert not self.is_norm(2, 5, 2)
+        assert not self.is_norm(2, 5, 8)
+        assert self.is_norm(3, 1, 3)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            self.is_norm(2, 0, 3)
+        with pytest.raises(ValueError):
+            self.is_norm(2, 3, 0)
+
+    @given(prime_st, nonzero, nonzero, nonzero)
+    def test_group_closure(self, p, g1, g2, nd):
+        # norms form a group: membership of two elements forces the product
+        if self.is_norm(p, g1, nd) and self.is_norm(p, g2, nd):
+            assert self.is_norm(p, g1 * g2, nd)
+
+    @given(prime_st, nonzero)
+    def test_squares_are_norms(self, p, nd):
+        assert self.is_norm(p, 1, nd)
+        assert self.is_norm(p, 4, nd)

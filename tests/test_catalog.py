@@ -206,95 +206,90 @@ class TestRejectedText:
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            pytest.param("sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2,x",
-                         "record A1: invalid literal for int() with base 10: 'x'", id="form-literal"),
-            pytest.param("local 2 theta={1,2,5,10} lambda=1", "local", "record A1: empty local line",
-                         id="empty-local"),
-            pytest.param("theta={1,2,5,10}", "theta=1,2,5,10",
-                         "record A1: theta wants {..}, got '1,2,5,10'", id="theta-braces"),
-            pytest.param(" theta={1,2,5,10}", "", "record A1: local line needs theta=", id="no-theta-2"),
-            pytest.param("local 3 theta={1,3}", "local 3", "record B1: local line needs theta=",
-                         id="no-theta-3"),
+            ("sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2,x",
+             "record A1: invalid literal for int() with base 10: 'x'"),
+            ("local 2 theta={1,2,5,10} lambda=1", "local", "record A1: empty local line"),
+            ("theta={1,2,5,10}", "theta=1,2,5,10",
+             "record A1: theta wants {..}, got '1,2,5,10'"),
+            (" theta={1,2,5,10}", "", "record A1: local line needs theta="),
+            ("local 3 theta={1,3}", "local 3", "record B1: local line needs theta="),
             # the Jordan splitting is derived from the forms, so it is no
             # key of any local line
-            pytest.param("local 2 theta={1,2,5,10} lambda=1",
-                         "local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1",
-                         "record A1: unknown token 'splitting=1:0,1:0,1:4'", id="splitting-2"),
-            pytest.param("local 3 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3}",
-                         "record B1: unknown token 'splitting=1:0,1:1,1:2'", id="splitting-3"),
-            pytest.param("exceptional M1\n", "exceptional\n", "record A1: empty exceptional line",
-                         id="empty-exceptional"),
-            pytest.param("id A1\ndelta 64", "delta 64\nid A1", "line 3: record must start with an id line",
-                         id="id-not-first"),
+            ("local 2 theta={1,2,5,10} lambda=1",
+             "local 2 splitting=1:0,1:0,1:4 theta={1,2,5,10} lambda=1",
+             "record A1: unknown token 'splitting=1:0,1:0,1:4'"),
+            ("local 3 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3}",
+             "record B1: unknown token 'splitting=1:0,1:1,1:2'"),
+            ("exceptional M1\n", "exceptional\n", "record A1: empty exceptional line"),
+            ("id A1\ndelta 64", "delta 64\nid A1", "line 3: record must start with an id line"),
             # a second line for a prime is refused before the record is
             # validated, even one that would be refused on its own (group A
             # needs lambda)
-            pytest.param(" lambda=1\n", " lambda=1\nlocal 2 theta={1}\n",
-                         "record A1: duplicate local line for p=2", id="dup-local"),
-            pytest.param("delta 64\n", "delta 64\ngamma 1\n", "line 5: unknown key 'gamma'", id="unknown-key"),
-            pytest.param("delta 64\n", "", "record A1: missing delta or exceptional line", id="no-delta"),
-            pytest.param(None, "# only comments\n", "missing version header", id="no-header"),
+            (" lambda=1\n", " lambda=1\nlocal 2 theta={1}\n",
+             "record A1: duplicate local line for p=2"),
+            ("delta 64\n", "delta 64\ngamma 1\n", "line 5: unknown key 'gamma'"),
+            ("delta 64\n", "", "record A1: missing delta or exceptional line"),
+            (None, "# only comments\n", "missing version header"),
             # a bare token, on an odd or a 2-adic line: no route reads one
-            pytest.param("local 3 theta={1,3}", "local 3 theta={1,3} scaled",
-                         "record B1: unknown token 'scaled'", id="bare-3"),
-            pytest.param(" lambda=1\n", " lambda=1 scaled\n", "record A1: unknown token 'scaled'", id="bare-2"),
+            ("local 3 theta={1,3}", "local 3 theta={1,3} scaled",
+             "record B1: unknown token 'scaled'"),
+            (" lambda=1\n", " lambda=1 scaled\n", "record A1: unknown token 'scaled'"),
             # the 2-adic structure label no route read
-            pytest.param(" lambda=1\n", " lambda=1 subcase=(b)(iii)\n",
-                         "record A1: unknown token 'subcase=(b)(iii)'", id="subcase"),
-            pytest.param(" lambda=1\n", " lambda=0\n", "record A1, p=2: lambda must be >= 1", id="lambda-0"),
+            (" lambda=1\n", " lambda=1 subcase=(b)(iii)\n",
+             "record A1: unknown token 'subcase=(b)(iii)'"),
+            (" lambda=1\n", " lambda=0\n", "record A1, p=2: lambda must be >= 1"),
             # 0 is no squareclass
-            pytest.param("theta={1,2,5,10}", "theta={1,0,5,10}", "record A1: bad theta '0'", id="theta-0"),
-            pytest.param("local 3 theta={1,3}", "local 3 theta={1,3} lambda=1",
-                         "record B1, p=3: lambda only belongs on the p=2 line", id="lambda-3"),
+            ("theta={1,2,5,10}", "theta={1,0,5,10}", "record A1: bad theta '0'"),
+            ("local 3 theta={1,3}", "local 3 theta={1,3} lambda=1",
+             "record B1, p=3: lambda only belongs on the p=2 line"),
             # a reduced form of B1's determinant and 2-adic orders whose
             # orders at 3 key no cutoff; it stands for the genus, so the
             # shape is refused before the other form is compared
-            pytest.param("sgi 3,3,4,0,0,3", "sgi 2,2,7,1,1,0",
-                         "record B1, p=3: (2,2,7,1,1,0) has elementary divisor orders [0, 0, 3], "
-                         "with no order cutoff", id="shape-3"),
-            pytest.param("id B7", "id A14", "group counts off: {'A': 14, 'B': 11, 'C': 4}", id="group-counts"),
-            pytest.param("sgii 1,1,16,0,0,0\n", "", "record A1: both spinor genera need forms", id="no-sgii"),
+            ("sgi 3,3,4,0,0,3", "sgi 2,2,7,1,1,0",
+             "record B1, p=3: (2,2,7,1,1,0) has elementary divisor orders [0, 0, 3], "
+             "with no order cutoff"),
+            ("id B7", "id A14", "group counts off: {'A': 14, 'B': 11, 'C': 4}"),
+            ("sgii 1,1,16,0,0,0\n", "", "record A1: both spinor genera need forms"),
             # same determinant, reduced, but outside A1's genus at 2
-            pytest.param("sgii 1,1,16,0,0,0", "sgii 1,2,8,0,0,0",
-                         "record A1, p=2: (1,2,8,0,0,0) has elementary divisor orders [1, 2, 4], "
-                         "(2,2,5,2,2,0) has [1, 1, 5]", id="genus-2"),
-            pytest.param("sgi 2,2,5,2,2,0", "sgi -2,2,5,2,2,0",
-                         f"record A1: {TernaryForm(-2, 2, 5, 2, 2, 0)} not positive definite", id="indefinite"),
+            ("sgii 1,1,16,0,0,0", "sgii 1,2,8,0,0,0",
+             "record A1, p=2: (1,2,8,0,0,0) has elementary divisor orders [1, 2, 4], "
+             "(2,2,5,2,2,0) has [1, 1, 5]"),
+            ("sgi 2,2,5,2,2,0", "sgi -2,2,5,2,2,0",
+             f"record A1: {TernaryForm(-2, 2, 5, 2, 2, 0)} not positive definite"),
             # A1's first form under x -> x + 40y: same determinant and
             # definiteness, but a scan box that grows with the skew
-            pytest.param("sgi 2,2,5,2,2,0", "sgi 2,3202,5,82,2,160",
-                         f"record A1: {TernaryForm(2, 3202, 5, 82, 2, 160)} is not reduced", id="skewed"),
-            pytest.param("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
-                         "delta 68\nsgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
-                         "record A1: delta has large prime factors", id="prime-17"),
+            ("sgi 2,2,5,2,2,0", "sgi 2,3202,5,82,2,160",
+             f"record A1: {TernaryForm(2, 3202, 5, 82, 2, 160)} is not reduced"),
+            ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
+             "delta 68\nsgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
+             "record A1: delta has large prime factors"),
             # a product of two primes above 2^60, which factor's Pollard rho
             # would take most of an hour to split
-            pytest.param("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
-                         f"delta {4 * _SEMIPRIME}\nsgi 1,1,{_SEMIPRIME},0,0,0\nsgii 1,1,{_SEMIPRIME},0,0,0",
-                         "record A1: delta has large prime factors", id="semiprime"),
-            pytest.param("local 3 theta={1,3}\n", "",
-                         "record B1: local data for [2], ramified primes are [2, 3]", id="no-local-3"),
-            pytest.param("exceptional M1\n", "exceptional M5\n", "record A1: squareclass with t=5", id="t-5"),
-            pytest.param("exceptional M1\n", "exceptional 5M1\n", "record A1: suspicious scale s=5", id="s-5"),
+            ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
+             f"delta {4 * _SEMIPRIME}\nsgi 1,1,{_SEMIPRIME},0,0,0\nsgii 1,1,{_SEMIPRIME},0,0,0",
+             "record A1: delta has large prime factors"),
+            ("local 3 theta={1,3}\n", "",
+             "record B1: local data for [2], ramified primes are [2, 3]"),
+            ("exceptional M1\n", "exceptional M5\n", "record A1: squareclass with t=5"),
+            ("exceptional M1\n", "exceptional 5M1\n", "record A1: suspicious scale s=5"),
             # a spec entry inside another: 3 is in M_2 and 2 in M_7
-            pytest.param("exceptional M2\n", "exceptional M2 9M2\n",
-                         "record A8: squareclass 9M2 lies inside M2", id="nested-M2"),
-            pytest.param("exceptional 4M7\n", "exceptional 4M7 16M7\n",
-                         "record C4: squareclass 16M7 lies inside 4M7", id="nested-4M7"),
-            pytest.param("exceptional M3\n", "exceptional M3 M3\n",
-                         "record B1: squareclass M3 lies inside M3", id="nested-M3"),
+            ("exceptional M2\n", "exceptional M2 9M2\n",
+             "record A8: squareclass 9M2 lies inside M2"),
+            ("exceptional 4M7\n", "exceptional 4M7 16M7\n",
+             "record C4: squareclass 16M7 lies inside 4M7"),
+            ("exceptional M3\n", "exceptional M3 M3\n",
+             "record B1: squareclass M3 lies inside M3"),
             # route 2 builds s * w^2 in int64
-            pytest.param("exceptional M1\n", f"exceptional {2**63}M1\n",
-                         f"record A1: suspicious scale s={2**63}", id="s-2^63"),
+            ("exceptional M1\n", f"exceptional {2**63}M1\n",
+             f"record A1: suspicious scale s={2**63}"),
             # a line or local-line key given twice
-            pytest.param("delta 324\n", "delta 324\ndelta 324\n", "record B3: duplicate delta line",
-                         id="dup-delta"),
-            pytest.param("exceptional 3M3\n", "exceptional 3M3\nexceptional M3\n",
-                         "record B3: duplicate exceptional line", id="dup-exceptional"),
-            pytest.param("theta={1,2,5,10}", "theta={1,2,5,10} theta={1,5}",
-                         "record A1: duplicate theta on the p=2 local line", id="dup-theta"),
-            pytest.param(" lambda=1\n", " lambda=1 lambda=2\n",
-                         "record A1: duplicate lambda on the p=2 local line", id="dup-lambda"),
+            ("delta 324\n", "delta 324\ndelta 324\n", "record B3: duplicate delta line"),
+            ("exceptional 3M3\n", "exceptional 3M3\nexceptional M3\n",
+             "record B3: duplicate exceptional line"),
+            ("theta={1,2,5,10}", "theta={1,2,5,10} theta={1,5}",
+             "record A1: duplicate theta on the p=2 local line"),
+            (" lambda=1\n", " lambda=1 lambda=2\n",
+             "record A1: duplicate lambda on the p=2 local line"),
         ],
     )
     def test_message(self, catalog, old, new, message):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from mt_congruence import congruence_Mt
 
 from spinor_ternary.arith import hilbert, is_padic_square, normgroup_is_closed, ord_p
-from spinor_ternary.catalog import LocalData
-from spinor_ternary.forms_core import enumerate_represented, represented_mask
+from spinor_ternary.catalog import _ODD_CUTOFFS, LocalData
+from spinor_ternary.forms_core import TernaryForm, enumerate_represented, represented_mask
+from spinor_ternary.local_solver import elementary_orders
 from spinor_ternary.spinor_theory import (
     EXCEPTIONAL,
     LOCALLY_EXCLUDED,
@@ -106,6 +107,19 @@ class TestNormGroupClosure:
 
 
 class TestOddBound:
+    @staticmethod
+    def cutoff(exps):
+        # the diagonal form <3^e1> + <3^e2> + <3^e3>, whose Jordan exponents
+        # at 3 are exps; load keys the cutoff by them
+        form = TernaryForm(*(3**e for e in exps), 0, 0, 0)
+        return _ODD_CUTOFFS.get(tuple(elementary_orders(form, 3)))
+
+    def test_exponent_shapes(self):
+        assert self.cutoff((0, 1, 2)) == 1
+        assert self.cutoff((0, 2, 3)) == 1
+        assert self.cutoff((0, 1, 3)) == 2
+        assert self.cutoff((0, 0, 1)) is None
+
     def test_clause_reads_the_cutoff(self, catalog):
         # n = 9 has order 2 at 3: past B1's cutoff of 1, within 2, and a
         # record with no cutoff there raises
