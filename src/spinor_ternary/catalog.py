@@ -3,10 +3,11 @@ local data (spinor norm group and order cutoff) and the closed-form
 exceptional squareclasses.  `LocalData.cutoff` is the spinor criterion's
 order cutoff: lambda at 2, and at an odd p one derived at load from the
 forms' elementary divisor orders, the exponents of their Jordan splitting.
+The discriminant delta is derived from the forms too.
 
 The on-disk format is line-oriented text: a `version 1` header, then
-blank-line-separated records of `id`/`delta`/`sgi`/`sgii`/`local`/
-`exceptional` lines.  `#` lines are comments.
+blank-line-separated records of `id`/`sgi`/`sgii`/`local`/`exceptional`
+lines.  `#` lines are comments.
 """
 
 from __future__ import annotations
@@ -159,7 +160,6 @@ def _build_record(lines: list[tuple[int, str]]) -> GenusRecord:
         raise CatalogError(f"line {lineno}: record must start with an id line")
     rid = first[3:].strip()
     where = f"record {rid}"
-    delta = None
     sgi: list[TernaryForm] = []
     sgii: list[TernaryForm] = []
     local: dict[int, LocalData] = {}
@@ -167,11 +167,7 @@ def _build_record(lines: list[tuple[int, str]]) -> GenusRecord:
     for lineno, line in lines[1:]:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
-        if key == "delta" and delta is not None or key == "exceptional" and exceptional is not None:
-            raise CatalogError(f"{where}: duplicate {key} line")
-        if key == "delta":
-            delta = _parse_int(rest, "delta", where)
-        elif key == "sgi":
+        if key == "sgi":
             sgi.append(_parse_form(rest, where))
         elif key == "sgii":
             sgii.append(_parse_form(rest, where))
@@ -180,12 +176,17 @@ def _build_record(lines: list[tuple[int, str]]) -> GenusRecord:
             if local.setdefault(p, data) is not data:
                 raise CatalogError(f"{where}: duplicate local line for p={p}")
         elif key == "exceptional":
+            if exceptional is not None:
+                raise CatalogError(f"{where}: duplicate exceptional line")
             exceptional = _parse_exceptional(rest, where)
         else:
             raise CatalogError(f"line {lineno}: unknown key {key!r}")
-    if delta is None or exceptional is None:
-        raise CatalogError(f"{where}: missing delta or exceptional line")
-    return GenusRecord(rid, delta, tuple(sgi), tuple(sgii), local, exceptional)
+    if exceptional is None:
+        raise CatalogError(f"{where}: missing exceptional line")
+    if not sgi or not sgii:
+        raise CatalogError(f"{where}: both spinor genera need forms")
+    # delta is the first form's; validation checks that every form shares it
+    return GenusRecord(rid, sgi[0].gram_det() // 2, tuple(sgi), tuple(sgii), local, exceptional)
 
 
 def loads(text: str) -> CatalogFile:
@@ -254,8 +255,6 @@ def _validate(catalog: CatalogFile) -> None:
     if counts != {"A": 13, "B": 12, "C": 4}:
         raise CatalogError(f"group counts off: {counts}")
     for rec in catalog.records:
-        if not rec.sgi_forms or not rec.sgii_forms:
-            raise CatalogError(f"record {rec.rid}: both spinor genera need forms")
         for form in rec.all_forms():
             if not is_positive_definite(form):
                 raise CatalogError(f"record {rec.rid}: {form} not positive definite")
@@ -310,7 +309,6 @@ def dumps(catalog: CatalogFile) -> str:
     for rec in catalog.records:
         out.append("")
         out.append(f"id {rec.rid}")
-        out.append(f"delta {rec.delta}")
         for form in rec.sgi_forms:
             out.append("sgi " + ",".join(str(c) for c in form.coeffs()))
         for form in rec.sgii_forms:

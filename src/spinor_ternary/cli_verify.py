@@ -428,11 +428,21 @@ def cmd_catalog_dump(catalog: CatalogFile, args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one `error:` line on stderr
+    and exit 2, as every other input error is; subparsers are built of the
+    same class."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; it keeps no state
     between parse_args calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinor-ternary",
         description="classify and verify integers against the 29 spinor "
         "regular but not regular ternary forms",

@@ -141,7 +141,7 @@ class TestParsing:
 
     def test_missing_version(self):
         with pytest.raises(CatalogError, match="version"):
-            loads("id A1\ndelta 64\n")
+            loads("id A1\nsgi 2,2,5,2,2,0\n")
 
     def test_bad_version(self):
         with pytest.raises(CatalogError, match="version"):
@@ -158,7 +158,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "old, new, match",
         [
-            ("delta 64", "delta x64", r"record A1: bad delta 'x64'"),
+            ("local 2 theta", "local x theta", r"record A1: bad prime 'x'"),
             (" lambda=1\n", " lambda=one\n", r"record A1: bad lambda 'one'"),
             ("theta={1,2,5,10}", "theta={1,2,5,1O}", r"record A1: bad theta '1O'"),
         ],
@@ -170,8 +170,11 @@ class TestParsing:
 
 class TestValidation:
     def test_wrong_delta(self, catalog):
-        with pytest.raises(CatalogError, match="record A1"):
-            loads(doctored(catalog, "delta 64", "delta 63"))
+        # delta is the first form's, so a later form of another
+        # discriminant is the one refused
+        message = "record A1: (1,1,17,0,0,0) has discriminant 68, expected 64"
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            loads(doctored(catalog, "sgii 1,1,16,0,0,0", "sgii 1,1,17,0,0,0"))
 
     def test_wrong_coefficient(self, catalog):
         with pytest.raises(CatalogError, match="discriminant"):
@@ -221,14 +224,17 @@ class TestRejectedText:
             ("local 3 theta={1,3}", "local 3 splitting=1:0,1:1,1:2 theta={1,3}",
              "record B1: unknown token 'splitting=1:0,1:1,1:2'"),
             ("exceptional M1\n", "exceptional\n", "record A1: empty exceptional line"),
-            ("id A1\ndelta 64", "delta 64\nid A1", "line 3: record must start with an id line"),
+            ("id A1\nsgi 2,2,5,2,2,0", "sgi 2,2,5,2,2,0\nid A1",
+             "line 3: record must start with an id line"),
             # a second line for a prime is refused before the record is
             # validated, even one that would be refused on its own (group A
             # needs lambda)
             (" lambda=1\n", " lambda=1\nlocal 2 theta={1}\n",
              "record A1: duplicate local line for p=2"),
-            ("delta 64\n", "delta 64\ngamma 1\n", "line 5: unknown key 'gamma'"),
-            ("delta 64\n", "", "record A1: missing delta or exceptional line"),
+            ("id A1\n", "id A1\ngamma 1\n", "line 4: unknown key 'gamma'"),
+            # delta is derived from the forms, so it is no key of a record
+            ("id A1\n", "id A1\ndelta 64\n", "line 4: unknown key 'delta'"),
+            ("exceptional M1\n", "", "record A1: missing exceptional line"),
             (None, "# only comments\n", "missing version header"),
             # a bare token, on an odd or a 2-adic line: no route reads one
             ("local 3 theta={1,3}", "local 3 theta={1,3} scaled",
@@ -250,6 +256,8 @@ class TestRejectedText:
              "with no order cutoff"),
             ("id B7", "id A14", "group counts off: {'A': 14, 'B': 11, 'C': 4}"),
             ("sgii 1,1,16,0,0,0\n", "", "record A1: both spinor genera need forms"),
+            # refused before delta is read off the first form
+            ("sgi 2,2,5,2,2,0\n", "", "record A1: both spinor genera need forms"),
             # same determinant, reduced, but outside A1's genus at 2
             ("sgii 1,1,16,0,0,0", "sgii 1,2,8,0,0,0",
              "record A1, p=2: (1,2,8,0,0,0) has elementary divisor orders [1, 2, 4], "
@@ -260,13 +268,12 @@ class TestRejectedText:
             # definiteness, but a scan box that grows with the skew
             ("sgi 2,2,5,2,2,0", "sgi 2,3202,5,82,2,160",
              f"record A1: {TernaryForm(2, 3202, 5, 82, 2, 160)} is not reduced"),
-            ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
-             "delta 68\nsgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
+            ("sgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0", "sgi 1,1,17,0,0,0\nsgii 1,1,17,0,0,0",
              "record A1: delta has large prime factors"),
             # a product of two primes above 2^60, which factor's Pollard rho
             # would take most of an hour to split
-            ("delta 64\nsgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
-             f"delta {4 * _SEMIPRIME}\nsgi 1,1,{_SEMIPRIME},0,0,0\nsgii 1,1,{_SEMIPRIME},0,0,0",
+            ("sgi 2,2,5,2,2,0\nsgii 1,1,16,0,0,0",
+             f"sgi 1,1,{_SEMIPRIME},0,0,0\nsgii 1,1,{_SEMIPRIME},0,0,0",
              "record A1: delta has large prime factors"),
             ("local 3 theta={1,3}\n", "",
              "record B1: local data for [2], ramified primes are [2, 3]"),
@@ -283,7 +290,8 @@ class TestRejectedText:
             ("exceptional M1\n", f"exceptional {2**63}M1\n",
              f"record A1: suspicious scale s={2**63}"),
             # a line or local-line key given twice
-            ("delta 324\n", "delta 324\ndelta 324\n", "record B3: duplicate delta line"),
+            ("exceptional M1\n", "exceptional M1\nexceptional M1\n",
+             "record A1: duplicate exceptional line"),
             ("exceptional 3M3\n", "exceptional 3M3\nexceptional M3\n",
              "record B3: duplicate exceptional line"),
             ("theta={1,2,5,10}", "theta={1,2,5,10} theta={1,5}",

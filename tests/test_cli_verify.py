@@ -346,7 +346,7 @@ class TestClassifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "B4", "9", "--bound", "5"])
         assert exc.value.code == 2
-        assert "--bound" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --bound 5\n")
 
 
 class TestLocalCommand:
@@ -894,10 +894,36 @@ class TestCatalogPlumbing:
         assert out == ""
         assert err == "error: RuntimeError: boom\n"
 
-    def test_unknown_command_usage_error(self):
+    def test_unknown_command_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("classify A1 1e3", "argument n: invalid int value: '1e3'"),
+            ("local A1 2**3 5", "argument p: invalid int value: '2**3'"),
+            ("verify A1 extra", "unrecognized arguments: extra"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        # argparse's usage block is not printed: a usage error is one
+        # error: line and exit 2, as every other input error
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: spinor-ternary verify [-h]") and err == ""
 
 
 class TestRepeatedMain:
@@ -987,7 +1013,7 @@ class TestCatalogDumpCommand:
 
     def test_repeated_line_exits_2(self, capsys, catalog, tmp_path):
         path = tmp_path / "cat.txt"
-        path.write_text(dumps(catalog).replace("delta 324\n", "delta 324\ndelta 324\n"))
+        path.write_text(dumps(catalog).replace("exceptional 3M3\n", "exceptional 3M3\nexceptional 3M3\n"))
         assert run(capsys, "--catalog", str(path), "verify", "B3", "--bound", "10") == (
-            2, "", "error: record B3: duplicate delta line\n"
+            2, "", "error: record B3: duplicate exceptional line\n"
         )
