@@ -34,6 +34,10 @@ PROTOCOL = """\
   untimed pass at bound 1000 first builds the local class tables, as the
   first record of a ``verify`` run does; its time is ``tables_s``.  Totals
   over the 29 records, per repeat.
+- ``keyed_scan``: ``enumerate_represented``, the keyed scan whose least
+  witnesses ``report`` and ``classify`` print, on each record's first form
+  at 2e4 and 2e5, after the stages.  Totals over the 29 records, per
+  repeat.
 - ``verify``: ``verify all`` in a fresh process per run, ``--jobs 1`` and
   ``--jobs 2`` taking turns; wall time from spawn to exit, the peak RSS of
   the largest process (``wait4``'s ``ru_maxrss``, which covers the
@@ -53,6 +57,7 @@ IQR, q3 - q1.  No input is random, so there is no seed.
 
 REPEATS = 5
 STAGE_BOUNDS = ((50_000, REPEATS), (1_000_000, REPEATS), (10_000_000, 1))
+KEYED_BOUNDS = (20_000, 200_000)
 # verify all stdout digests, pinned in CI
 VERIFY_DIGESTS = {
     10_000: "101cd3ec333a97ff2c40284e88e00677899360f7efc524b253a4085b9f611693",
@@ -114,6 +119,27 @@ def measure_stages(records) -> dict:
                 rid: {s: statistics.median(p[rid][s] for p in passes) for s in stages}
                 for rid in passes[0]
             },
+        }
+    return result
+
+
+def measure_keyed_scan(records) -> dict:
+    from spinor_ternary.forms_core import enumerate_represented
+
+    result = {}
+    for bound in KEYED_BOUNDS:
+        passes = []
+        for _ in range(REPEATS):
+            seconds = {}
+            for rec in records:
+                t0 = time.perf_counter()
+                enumerate_represented(rec.sgi_forms[0], bound)
+                seconds[rec.rid] = time.perf_counter() - t0
+            passes.append(seconds)
+        result[str(bound)] = {
+            "repeats": REPEATS,
+            "total_s": summary([sum(p.values()) for p in passes]),
+            "per_record_median_s": {rid: statistics.median(p[rid] for p in passes) for rid in passes[0]},
         }
     return result
 
@@ -257,7 +283,10 @@ def main(argv=None) -> int:
 
     result = {"protocol": PROTOCOL, "environment": environment(root), "spin_probe": spin_probe()}
     print("stages ...", file=sys.stderr)
-    result["stages"] = measure_stages(load_default_catalog().records)
+    records = load_default_catalog().records
+    result["stages"] = measure_stages(records)
+    print("keyed scan ...", file=sys.stderr)
+    result["keyed_scan"] = measure_keyed_scan(records)
     print("fresh verify ...", file=sys.stderr)
     result["verify"] = {}
     for bound in (10_000, 1_000_000):

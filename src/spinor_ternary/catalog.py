@@ -34,9 +34,12 @@ __all__ = [
     "dumps",
     "load_catalog",
     "load_default_catalog",
+    "parse_int",
 ]
 
-_EXC_TOKEN = re.compile(r"^(\d*)M(\d+)$")
+_EXC_TOKEN = re.compile(r"^([0-9]*)M([0-9]+)$")
+# an integer as the catalog and the command line write it
+_INT = re.compile(r"-?[0-9]+")
 # order cutoff at an odd ramified prime, by M_F's elementary divisor orders
 # there (the Jordan splitting's exponents, since 2 is a unit at odd p);
 # only B3 at p = 3 has (0, 1, 3), and no verdict depends on its 2: with 1,
@@ -93,9 +96,19 @@ class CatalogFile:
 
 # ---------------------------------------------------------------- parsing
 
+def parse_int(text: str) -> int:
+    """The integer that text writes as an optional '-' and ASCII digits,
+    the one form that every integer the program reads takes.  ValueError
+    otherwise, with int()'s message: int() alone also takes '_' between
+    digits, a '+', surrounding space and non-ASCII digits."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _parse_int(text: str, what: str, where: str) -> int:
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise CatalogError(f"{where}: bad {what} {text!r}") from None
 
@@ -105,7 +118,7 @@ def _parse_form(text: str, where: str) -> TernaryForm:
     if len(parts) != 6:
         raise CatalogError(f"{where}: form needs 6 coefficients, got {text!r}")
     try:
-        return TernaryForm(*(int(x) for x in parts))
+        return TernaryForm(*(parse_int(x) for x in parts))
     except ValueError as exc:
         raise CatalogError(f"{where}: {exc}") from None
 
@@ -148,7 +161,7 @@ def _parse_exceptional(rest: str, where: str) -> tuple[tuple[int, int], ...]:
         m = _EXC_TOKEN.match(tok)
         if not m:
             raise CatalogError(f"{where}: bad squareclass token {tok!r}")
-        out.append((int(m.group(1) or 1), int(m.group(2))))
+        out.append((parse_int(m.group(1) or "1"), parse_int(m.group(2))))
     if not out:
         raise CatalogError(f"{where}: empty exceptional line")
     return tuple(out)

@@ -23,7 +23,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .catalog import CatalogFile, GenusRecord, dumps, load_catalog, load_default_catalog
+from .catalog import CatalogFile, GenusRecord, dumps, load_catalog, load_default_catalog, parse_int
 from .forms_core import BLOCK_BYTES, BoundOverflowError, enumerate_represented, represented_mask
 from .local_solver import first_failing_prime, local_represents, unramified_shortcut
 from .spinor_theory import (
@@ -430,8 +430,14 @@ def cmd_catalog_dump(catalog: CatalogFile, args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are one `error:` line on stderr
-    and exit 2, as every other input error is; subparsers are built of the
-    same class."""
+    and exit 2, as every other input error is, and whose `type=int`
+    arguments read what parse_int reads; subparsers are built of the same
+    class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse looks the type up here, and still names it int
+        self.register("type", int, parse_int)
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

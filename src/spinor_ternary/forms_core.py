@@ -26,9 +26,12 @@ docstring), with no scan of the three-dimensional box.
 
 Where the box is more than one block of x, the keyed scan takes the
 sumset first, as its proof that an n without a key is not represented,
-and stops after the first block that leaves no member of it without a
-key; its members must then equal the sumset's, so each such call checks
-the two engines against each other (enumerate_represented).
+and stops scanning after the first block that leaves fewer of its members
+without a key than the slab has z values.  Least witnesses sit at small
+x, so that comes early, and the scan then solves F = n, a quadratic in z,
+for each member left (_solve).  Its members must then equal the
+sumset's, so each such call checks the two engines against each other
+(enumerate_represented).
 """
 
 from __future__ import annotations
@@ -60,14 +63,16 @@ _INT64_GUARD = 1 << 62
 _BLOCK_POINTS = 1 << 16
 # Peak bytes a scan holds besides its per-n arrays, per chunk point at int64
 # width: in the keyed scan the chunk's g, one block's F and its filter, and
-# the in-range positions, F and keys (8 + 8 + 1 + 3 * 8); in the sumset, g,
-# w, q and r while divmod runs, then g, q, r and t (4 * 8), and last the
-# flat index, its filter and the kept indices (8 + 1 + 8), each about half
-# that at int32.
+# the in-range positions, F and keys (8 + 8 + 1 + 3 * 8), and in its solve
+# two blocks' D while the next is built, one block's discriminants, roots
+# and filter (2 * 8 + 8 + 8 + 1); in the sumset, g, w, q and r while
+# divmod runs, then g, q, r and t (4 * 8), and last the flat index, its
+# filter and the kept indices (8 + 1 + 8).  The scan and the sumset hold
+# about half that at int32.
 BLOCK_BYTES = 41 * _BLOCK_POINTS
 # key of an n that no vector gives
 _NO_KEY = np.iinfo(np.int64).max
-# n whose keys the keyed scan's stop test reads at a time
+# n whose keys the keyed scan reads at a time to count the members left
 _SEEK = 1 << 12
 # Classes of w mod 2a that one pass of represented_mask holds
 _CLASS_ROWS = 8
@@ -260,11 +265,26 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     (y, z) slab of one chunk, built once, or one x slice over each chunk
     of a larger slab, rebuilt for each x.  When the box is more than one
     block, the scan takes represented_mask(form, bound) before its key
-    array and stops after the first block that leaves none of the mask's
-    members without a key: later blocks hold only larger positions, so no
-    key changes, and an n without a key is outside the mask, so it has no
-    vector at all.  The keyed n must then be exactly the mask's members,
-    or RuntimeError names the form and the bound.
+    array, and after each block counts the mask's members left without a
+    key, up to nz of them, in windows of _SEEK n that resume where the
+    last count ended.  Later blocks hold only larger positions, so a key
+    once set stays, and an n without a key is outside the mask, so it has
+    no vector at all.  When none is left, the scan stops.  When k < nz
+    are left, it stops too and solves for them from the next x slice on
+    (_solve): per x slice the scan visits ny * nz points, and the solve
+    ny * k pairs (y, n), each an exact square root of the discriminant of
+    F = n as a quadratic in z, so the solve is the cheaper from there.  It
+    gives each n the least position in the same slab, sign rules
+    included, so every key is the one the scan would give.  Its
+    discriminants are exact float64 integers with whole roots exactly
+    where square only below 2^52, so it runs only where the box bound
+    (|d| x2 + |e| x1)^2 + 4c (worst + bound) is below that; elsewhere, as
+    on a skewed form, the scan runs on to its stop.  The catalog's 81
+    forms stay below 0.1 * 2^52 at bound 1e11.
+
+    The keyed n must then be exactly the mask's members, or RuntimeError
+    names the form and the bound; a member the solve does not find by x1
+    fails that check.
     """
     x1, x2, x3, worst = _scan_box(form, bound)
     a, b, c, d, e, f = form.coeffs()
@@ -276,12 +296,17 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
     dtype = np.int32 if worst <= np.iinfo(np.int32).max else np.int64
     # x slices per block, so each chunk's positions in a block are contiguous
     step = max(1, _BLOCK_POINTS // (ny * nz))
-    # the sumset tells when no member is left without a key
+    # the sumset tells which members are left without a key
     stop = x1 >= step
     if stop:
         mask = represented_mask(form, bound)
-        # every member below lo has a key
-        lo = 1
+        # the first members without a key, at most nz of them, ascending:
+        # every such member below hi is in holes
+        holes = np.empty(0, dtype=np.int64)
+        hi = 1
+        # the solve's discriminants are exact in float64, with whole roots
+        # exactly where square (_solve)
+        solvable = (abs(d) * x2 + abs(e) * x1) ** 2 + 4 * c * (worst + bound) < 1 << 52
     key = np.full(bound + 1, _NO_KEY, dtype=np.int64)
     # a slab of one chunk is built once; a larger one again for each x
     held = list(_chunks(b, c, d, slab, dtype)) if ny * nz <= _BLOCK_POINTS else None
@@ -298,18 +323,30 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
             pos = np.flatnonzero(flat <= bound)
             np.minimum.at(key, flat[pos], (x0 * ny + int(ys[0]) + x2) * nz + pos)
         if stop:
-            # lo moves on to the next member without a key, _SEEK n at a
-            # time; keys are never unset, so lo never moves back, and the
-            # scan reads each key here once besides one window per block
-            while lo <= bound and not (
-                hole := mask[lo:lo + _SEEK] & (key[lo:lo + _SEEK] == _NO_KEY)
-            ).any():
-                lo += _SEEK
-            if lo > bound:
+            # keys are never unset, so a hole only ever leaves, hi never
+            # moves back past a hole, and the scan reads each key here once
+            # besides one window per block
+            holes = holes[key[holes] == _NO_KEY]
+            while holes.size < nz and hi <= bound:
+                found = np.flatnonzero(mask[hi:hi + _SEEK] & (key[hi:hi + _SEEK] == _NO_KEY))
+                if found.size:
+                    holes = np.concatenate((holes, hi + found))
+                hi += _SEEK
+            if holes.size >= nz:
+                hi = int(holes[nz - 1]) + 1
+                holes = holes[:nz]
+            # else hi is past the bound, and holes are all the members left
+            elif not holes.size:
                 # every later block holds only larger positions, so no key
                 # would change
                 break
-            lo += int(hole.argmax())
+            elif solvable:
+                # fewer than nz, so the solve's ny pairs per x and member
+                # cost less than the scan's ny * nz points; it holds its
+                # own block, so the scan's goes first
+                del held, g, vals, flat, pos
+                _solve((a, b, c, d, e, f), slab, key, holes, range(x0 + step, x1 + 1))
+                break
     key[0] = _NO_KEY
     if stop:
         # one bool array of bound + 1: the members where the two differ
@@ -318,6 +355,64 @@ def enumerate_represented(form: TernaryForm, bound: int) -> RepresentedSet:
         if differ.any():
             raise RuntimeError(f"the keyed scan and the sumset of {form} to {bound} give different members")
     return RepresentedSet(bound, key, slab)
+
+
+def _solve(coeffs, slab, key, ns: np.ndarray, xs: range) -> None:
+    """Give each n of ns its least slab position with x in xs, in key;
+    the x before xs give none of them one.
+
+    F(x, y, z) = n is c z^2 + L z + (M - n) = 0, with L = d y + e x and
+    M = a x^2 + b y^2 + f x y, so z = (-L +- r) / 2c, where r^2 = L^2 -
+    4c (M - n) = D + 4c n and D = (d^2 - 4bc) y^2 + (2de - 4cf) x y +
+    (e^2 - 4ac) x^2.  The caller guarantees (|d| x2 + |e| x1)^2 + 4c
+    (worst + bound) < 2^52, which bounds every partial sum of D + 4c n,
+    so each is an exact float64 integer.  A square below 2^52 has an exact
+    float root; the root of a non-square s^2 < m < (s + 1)^2 lies more
+    than 1 / (2s + 2) > 2^-27 from either integer, more than half its ulp,
+    so it is never whole.  So m is a square exactly where its float root
+    is whole (a negative m gives nan, which is not).  A root counts where
+    2c divides -L +- r and z lies in the slab.
+
+    The (x, y, n) triples run x ascending, in blocks of at most
+    _BLOCK_POINTS: whole x slices of ny rows while they fit, or one slice
+    with the n cut into columns.  An n found leaves before the next block,
+    and np.minimum.at keeps the least position within one, so each n
+    keeps its least (x, y, z).  A block holds D, 8 bytes a row, and its
+    discriminants and their roots, 16 bytes a triple, in two buffers that
+    every block reuses: fresh arrays of a block's size were mapped and
+    faulted in again each time, which tripled the block's time."""
+    a, b, c, d, e, f = coeffs
+    x2, x3, ny, nz = slab
+    yf = np.arange(-x2, ny - x2, dtype=np.float64)
+    bufs = np.empty((2, max(_BLOCK_POINTS, ny)))
+    x = xs.start
+    while ns.size and x < xs.stop:
+        xf = np.arange(x, min(x + max(1, _BLOCK_POINTS // (ny * ns.size)), xs.stop), dtype=np.float64)[:, None]
+        # D on the block's rows, x slice by x slice, then y
+        rows = (2 * d * e - 4 * c * f) * xf * yf
+        rows += (d * d - 4 * b * c) * yf * yf
+        rows += (e * e - 4 * a * c) * xf * xf
+        rows = rows.ravel()
+        cols = max(1, _BLOCK_POINTS // rows.size)
+        for i in range(0, ns.size, cols):
+            part = ns[i:i + cols]
+            disc, root = (buf[: part.size * rows.size].reshape(part.size, rows.size) for buf in bufs)
+            np.add((4.0 * c * part)[:, None], rows, out=disc)
+            with np.errstate(invalid="ignore"):
+                np.sqrt(disc, out=root)
+            # disc now holds the roots rounded, equal to them where whole
+            np.rint(root, out=disc)
+            col, row = np.divmod(np.flatnonzero(root == disc), rows.size)
+            r = disc[col, row].astype(np.int64)
+            xi, yi = np.divmod(row, ny)
+            lin = d * (yi - x2) + e * (x + xi)
+            z, rem = np.divmod(np.concatenate((-lin - r, r - lin)), 2 * c)
+            n = np.concatenate((part[col], part[col]))
+            pos = np.concatenate((row, row))
+            ok = (rem == 0) & (z >= -x3) & (z < nz - x3)
+            np.minimum.at(key, n[ok], (x * ny + pos[ok]) * nz + z[ok] + x3)
+        ns = ns[key[ns] == _NO_KEY]
+        x += xf.size
 
 
 def _isolated(form: TernaryForm, bound: int, box):

@@ -15,6 +15,7 @@ from spinor_ternary.catalog import (
     load_catalog,
     load_default_catalog,
     loads,
+    parse_int,
 )
 from spinor_ternary.forms_core import TernaryForm
 from spinor_ternary.local_solver import local_mask
@@ -161,11 +162,33 @@ class TestParsing:
             ("local 2 theta", "local x theta", r"record A1: bad prime 'x'"),
             (" lambda=1\n", " lambda=one\n", r"record A1: bad lambda 'one'"),
             ("theta={1,2,5,10}", "theta={1,2,5,1O}", r"record A1: bad theta '1O'"),
+            # only an optional '-' and ASCII digits: int() alone takes each of these
+            (" lambda=1\n", " lambda=1_0\n", r"record A1: bad lambda '1_0'"),
+            ("theta={1,2,5,10}", "theta={1,2,5,+10}", r"record A1: bad theta '\+10'"),
+            ("local 2 theta", "local \u0662 theta", "record A1: bad prime '\u0662'"),
+            ("sgi 2,2,5,2,2,0", "sgi 2,2,5,2,2, 0",
+             re.escape("record A1: invalid literal for int() with base 10: ' 0'")),
+            ("exceptional M1\n", "exceptional \u0663M1\n", "record A1: bad squareclass token '\u0663M1'"),
         ],
     )
     def test_bad_integer_names_record(self, catalog, old, new, match):
         with pytest.raises(CatalogError, match=match):
             loads(doctored(catalog, old, new))
+
+
+class TestParseInt:
+    """Every integer the program reads, from the catalog or the command
+    line, is an optional '-' and ASCII digits."""
+
+    @pytest.mark.parametrize("text, value", [("0", 0), ("-7", -7), ("007", 7), ("9223372036854775813", 2**63 + 5)])
+    def test_reads(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize("text", ["", "-", "--5", "+5", " 5", "5 ", "5\n", "1_0", "\u0663", "1e3", "0x10", "5.0"])
+    def test_refuses_what_int_alone_may_take(self, text):
+        message = f"invalid literal for int() with base 10: {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_int(text)
 
 
 class TestValidation:

@@ -907,6 +907,10 @@ class TestCatalogPlumbing:
         [
             ("classify A1 1e3", "argument n: invalid int value: '1e3'"),
             ("local A1 2**3 5", "argument p: invalid int value: '2**3'"),
+            # only an optional '-' and ASCII digits: int() alone takes each of these
+            ("classify A1 5_000", "argument n: invalid int value: '5_000'"),
+            ("local A1 2 \u0663", "argument n: invalid int value: '\u0663'"),
+            ("verify A1 --bound +100", "argument --bound: invalid int value: '+100'"),
             ("verify A1 extra", "unrecognized arguments: extra"),
         ],
     )
@@ -917,6 +921,13 @@ class TestCatalogPlumbing:
             main(argv.split())
         assert exc.value.code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_spaced_integer_is_one_line(self, capsys):
+        # int(" 5") is 5, but no argument of the program takes a space
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "A1", " 5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: argument n: invalid int value: ' 5'\n")
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ keyed scan reads the sumset to know where it may stop, so neither of the
 two engines is the other's reference.
 """
 
+import itertools
 import math
 import random
 import re
@@ -480,17 +481,34 @@ def edit_sumset(monkeypatch, ns, value):
     monkeypatch.setattr(forms_core, "represented_mask", edited)
 
 
+def spy_solve(monkeypatch) -> list:
+    """The (first x, members) that each call of the keyed scan's solve
+    is given, in a list that grows as the calls come."""
+    calls = []
+    solve = forms_core._solve
+
+    def spy(coeffs, slab, key, ns, xs):
+        calls.append((xs.start, ns.copy()))
+        solve(coeffs, slab, key, ns, xs)
+
+    monkeypatch.setattr(forms_core, "_solve", spy)
+    return calls
+
+
 class TestSumsetStop:
     """On a box of several blocks, the keyed scan's blocks run in
-    ascending key: it stops after the first block that leaves no member of
-    the sumset without a key, and its members must then be the sumset's.
-    A1 at 20000 has a 213 x 141 slab, one chunk, two x slices a block and
-    54 blocks; the last least witness has x = 32, in block 17."""
+    ascending key, and after each it counts the sumset's members left
+    without a key.  After the first block that leaves fewer than nz, it
+    scans no more and solves for each of them from the next x slice, and
+    its members must then be the sumset's.  A1 at 20000 has a 213 x 141
+    slab, one chunk, two x slices a block and 54 blocks; 4 blocks leave 94
+    members, whose least witnesses reach x = 32, in block 17."""
 
     BOUND = 20000
     # _BLOCK_POINTS, or None for the module's own
     POINTS = None
     STEP = 2
+    BLOCKS = 4
 
     @pytest.fixture(autouse=True)
     def block_points(self, monkeypatch):
@@ -498,13 +516,13 @@ class TestSumsetStop:
             monkeypatch.setattr(forms_core, "_BLOCK_POINTS", self.POINTS)
 
     def least_x(self):
-        """A1's members to BOUND, the x of each least witness, and the x
-        slices per block of the keyed scan."""
+        """A1's members to BOUND, the x of each least witness, the x slices
+        per block of the keyed scan, and the slab's nz."""
         member, (x, _, _) = slice_scan_least(A1, self.BOUND)
         ny, nz = enumerate_represented(A1, self.BOUND)._box[2:]
         step = max(1, forms_core._BLOCK_POINTS // (ny * nz))
-        assert (step, x.max()) == (self.STEP, 32)
-        return np.flatnonzero(member), x, step
+        assert (step, nz, x.max()) == (self.STEP, 141, 32)
+        return np.flatnonzero(member), x, step, nz
 
     def test_keys_match_slice_scan(self, monkeypatch):
         bounds = []
@@ -517,29 +535,53 @@ class TestSumsetStop:
         assert_matches_slice_scan(A1, self.BOUND)
         assert bounds == [self.BOUND]
 
-    def test_reads_no_block_past_the_last_a_member_needs(self, monkeypatch):
-        # drop from the sumset every member whose least witness lies in
-        # block 17: the scan then stops after block 16, so none of them gets
-        # a key, and the two engines agree without them
-        ns, x, step = self.least_x()
-        last = ns[x // step == x.max() // step]
-        edit_sumset(monkeypatch, last, False)
-        member = enumerate_represented(A1, self.BOUND).member_mask()
-        assert not member[last].any()
-        assert member.sum() == ns.size - last.size
+    def test_solves_after_the_first_block_that_leaves_fewer_than_nz(self, monkeypatch):
+        ns, x, step, nz = self.least_x()
+        calls = spy_solve(monkeypatch)
+        assert_matches_slice_scan(A1, self.BOUND)
+        blocks = next(k for k in itertools.count(1) if np.count_nonzero(x >= k * step) < nz)
+        assert blocks == self.BLOCKS
+        [(start, targets)] = calls
+        # the solve is given exactly the members the scanned blocks leave
+        assert start == blocks * step
+        assert np.array_equal(targets, ns[x >= start])
+        assert targets.size == 94
 
-    @pytest.mark.parametrize("edit", ("add a non-member", "drop a member keyed in block 1"))
+    def test_solves_only_the_sumset_members(self, monkeypatch):
+        # drop from the sumset every member whose least witness lies past
+        # the blocks scanned: the solve is given none of them, so none gets
+        # a key, and the two engines agree without them
+        ns, x, step, _ = self.least_x()
+        tail = ns[x >= self.BLOCKS * step]
+        edit_sumset(monkeypatch, tail, False)
+        calls = spy_solve(monkeypatch)
+        member = enumerate_represented(A1, self.BOUND).member_mask()
+        assert not any(np.isin(targets, tail).any() for _, targets in calls)
+        assert not member[tail].any()
+        assert member.sum() == ns.size - tail.size
+
+    @pytest.mark.parametrize("edit", (
+        "add a non-member", "add the largest non-member",
+        "drop a member keyed in block 1", "drop a member keyed in the last block scanned",
+    ))
     def test_disagreement_raises_and_exits_2(self, monkeypatch, capsys, edit):
-        ns, x, step = self.least_x()
-        if edit == "add a non-member":
-            n = int(np.setdiff1d(np.arange(1, self.BOUND + 1), ns)[0])
+        # an added non-member is left without a key by every block, so the
+        # solve looks for it up to x1 in vain; a dropped member keyed by a
+        # scanned block has a key the sumset lacks
+        ns, x, step, _ = self.least_x()
+        if edit.startswith("add"):
+            n = np.setdiff1d(np.arange(1, self.BOUND + 1), ns)[-1 if "largest" in edit else 0]
         else:
-            n = int(ns[0])
-            assert x[0] < step
-        edit_sumset(monkeypatch, n, edit == "add a non-member")
+            block = 0 if "block 1" in edit else self.BLOCKS - 1
+            n = ns[x // step == block][0]
+        edit_sumset(monkeypatch, int(n), edit.startswith("add"))
+        calls = spy_solve(monkeypatch)
         message = f"the keyed scan and the sumset of {A1} to {self.BOUND} give different members"
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             enumerate_represented(A1, self.BOUND)
+        [(start, targets)] = calls
+        assert start == self.BLOCKS * step
+        assert (n in targets) == edit.startswith("add")
         assert main(["report", "A1", "--bound", str(self.BOUND)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: RuntimeError: {message}\n")
@@ -548,11 +590,46 @@ class TestSumsetStop:
 class TestSumsetStopOnChunks(TestSumsetStop):
     """The same stop on a slab of several chunks: at 4096 points a chunk,
     A1's slab is cut into eight chunks of 27 y rows (24 in the last), each
-    block is one x slice over all of them, and the last least witness is in
-    block 33."""
+    block is one x slice over all of them, and 8 blocks leave 94 members;
+    the solve cuts its (n, y) pairs into blocks of 4096 too."""
 
     POINTS = 4096
     STEP = 1
+    BLOCKS = 8
+
+
+class TestSolve:
+    """The keyed scan's solve gives the slice scan's keys wherever it
+    engages, and stays off where float64 cannot hold its discriminants."""
+
+    def test_engages_on_every_catalog_form(self, catalog, monkeypatch):
+        # every catalog form takes the stop path by 100000, and is given
+        # members at one of these bounds; its keys are checked at the
+        # first such (15 forms at 5000, the last, A11's first, at 100000)
+        calls = spy_solve(monkeypatch)
+        for rec in catalog.records:
+            for form in rec.all_forms():
+                for bound in (5000, 10000, 20000, 50000, 100000):
+                    calls.clear()
+                    enumerate_represented(form, bound)
+                    if calls:
+                        break
+                assert calls, form
+                assert_matches_slice_scan(form, bound)
+
+    def test_skewed_form_past_2_52_keeps_scanning(self, monkeypatch):
+        # the box's bound on a discriminant passes 2^52, so the scan runs
+        # to its stop although fewer than nz members are left after x = 0
+        form, bound = PAST_A_BLOCK_AND_INT32[1]
+        x1, x2, _, worst = forms_core._scan_box(form, bound)
+        a, b, c, d, e, f = form.coeffs()
+        assert (abs(d) * x2 + abs(e) * x1) ** 2 + 4 * c * (worst + bound) >= 2**52
+        nz = enumerate_represented(form, bound)._box[3]
+        _, (x, _, _) = slice_scan_least(form, bound)
+        assert 0 < np.count_nonzero(x >= 1) < nz
+        calls = spy_solve(monkeypatch)
+        assert_matches_slice_scan(form, bound)
+        assert calls == []
 
 
 class TestScanBytes:
